@@ -1,37 +1,38 @@
-"""Scatter-gather throughput: ``ShardPool`` at 1/2/4 shards.
+"""Scatter-gather cost: ``ShardPool`` at 1/2/4 shards.
 
 The workload is the one sharding exists for: *hub* queries — vertices
 whose θ-floor candidate sets are largest, i.e. the most expensive
 single-source queries the serving tier sees.  Each query is scattered
 through a real multi-process :class:`~repro.shard.pool.ShardPool`
-(spawn workers, shared-memory attach, replay merge), so the numbers
-include the true coordination overhead: pickling, pipe transfer, and
-the coordinator's replay loop.
+(spawn workers, shared-memory attach, merge), so wall time includes the
+true coordination overhead: planning, pickling, pipe transfer, and the
+coordinator's merge scan.
 
-Accounting.  This box may have fewer cores than shards, in which case
-workers time-slice one CPU and raw wall clock shows no parallelism.
-Per query we therefore also compute the critical-path model
-
-    modeled_wall = (wall - sum(busy_s)) + max(busy_s)
-
-where ``busy_s`` is each shard's self-reported in-worker compute time:
-serial coordination cost stays fully counted, and the per-shard compute
-collapses to the slowest shard — exactly the wall clock a machine with
-``cpu_count >= shards`` would see.  The headline speedup uses measured
-wall clock when the host genuinely has the cores, the model otherwise;
-``BENCH_shard.json`` records which mode produced it.
+Accounting.  Per shard count the sidecar records measured wall time
+and CPU time: the coordinator's planning CPU (``plan_seconds``) plus
+every worker's busy CPU (``busy_seconds``).  Each query runs several
+rounds and keeps its cheapest, which filters out bursts of load from
+other processes on the host.  The wall-clock speedup over one shard is
+recorded only when the host has at least as many cores as shards;
+otherwise workers time-slice the cores and the speedup is recorded as
+unmeasurable (``null``).
 
 The regression gate asserts bit-identity against the single-process
-engine on every query and a >= 1.7x modeled/measured speedup at 4
-shards (relaxed in ``REPRO_BENCH_QUICK=1`` smoke runs, which use fewer
-queries and therefore noisier timings).
+engine on every query, and that sharding does not multiply work: the
+CPU time at 4 shards stays within 10% of the CPU time at 1 shard (25%
+in ``REPRO_BENCH_QUICK=1`` smoke runs, which measure fewer queries and
+rounds and are therefore noisier).  CPU time measures work only while
+the workers do not slow each other down: where concurrently running
+processes share physical cores or a busy hypervisor, each one burns
+more CPU time for the same work, and that shows up here as growth.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Dict, List
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -43,9 +44,15 @@ from repro.utils.bench import write_sidecar
 SIDECAR_PATH = Path(__file__).resolve().parent.parent / "BENCH_shard.json"
 
 #: Shard counts compared; 1 is the scatter-gather baseline (one worker
-#: owning every vertex), so coordination overhead is paid on both sides
-#: and the ratio isolates the parallelism win.
+#: owning every vertex), so coordination overhead is paid on both sides.
 SHARD_COUNTS = (1, 2, 4)
+
+#: Allowed growth of planning + worker CPU from 1 to 4 shards.
+CPU_GROWTH_LIMIT = 1.10
+QUICK_CPU_GROWTH_LIMIT = 1.25
+
+#: Measurement rounds per shard count (full mode).
+ROUNDS = 5
 
 
 def _hub_vertices(engine: SimRankEngine, n_hubs: int, sample_n: int) -> List[int]:
@@ -60,11 +67,10 @@ def _hub_vertices(engine: SimRankEngine, n_hubs: int, sample_n: int) -> List[int
 
 
 class TestShardThroughput:
-    def test_scatter_gather_speedup_and_sidecar(self, bench_config):
+    def test_scatter_gather_cost_and_sidecar(self, bench_config):
         quick = os.environ.get("REPRO_BENCH_QUICK") == "1"
-        # Hub serving workload: low θ keeps the floor wide, so screening
-        # and refinement (the work the shards divide) dominate the
-        # per-shard duplicated prologue (BFS shells + L1 bound walks).
+        # Hub serving workload: a low θ keeps the θ-floor wide, so the
+        # shards divide a large screening and refinement budget.
         config = bench_config.with_(theta=0.0005)
         graph = copying_web_graph(6000, out_degree=6, seed=31)
         engine = SimRankEngine(graph, config, seed=7).preprocess()
@@ -74,34 +80,50 @@ class TestShardThroughput:
         expected = {u: engine.top_k(u).items for u in hubs}
 
         cpu_count = os.cpu_count() or 1
-        runs: Dict[int, Dict[str, float]] = {}
-        for n_shards in SHARD_COUNTS:
-            wall_total = modeled_total = busy_total = 0.0
-            with ShardPool(engine, n_shards) as pool:
+        # Per (shard count, query): (cpu, wall, plan, busy) of each round.
+        samples: Dict[int, Dict[int, List[Tuple[float, ...]]]] = {
+            s: {u: [] for u in hubs} for s in SHARD_COUNTS
+        }
+        with ExitStack() as stack:
+            pools = {s: stack.enter_context(ShardPool(engine, s)) for s in SHARD_COUNTS}
+            for pool in pools.values():
                 pool.top_k(hubs[0])  # warm every worker's query path
-                for u in hubs:
-                    timings: Dict[str, object] = {}
-                    result = pool.top_k(u, timings_out=timings)
-                    assert result.items == expected[u]
-                    wall = float(timings["wall_seconds"])
-                    busy = [float(b) for b in timings["busy_seconds"]]
-                    wall_total += wall
-                    modeled_total += (wall - sum(busy)) + max(busy)
-                    busy_total += sum(busy)
-            runs[n_shards] = {
-                "wall_seconds": wall_total,
-                "modeled_wall_seconds": modeled_total,
-                "busy_seconds": busy_total,
+            # Rounds alternate the pools, so slow spells of the host hit
+            # all shard counts alike; each query keeps its cheapest round.
+            for _ in range(2 if quick else ROUNDS):
+                for n_shards, pool in pools.items():
+                    for u in hubs:
+                        timings: Dict[str, Any] = {}
+                        result = pool.top_k(u, timings_out=timings)
+                        assert result.items == expected[u]
+                        plan = float(timings["plan_seconds"])
+                        busy = sum(float(b) for b in timings["busy_seconds"])
+                        samples[n_shards][u].append(
+                            (plan + busy, float(timings["wall_seconds"]), plan, busy)
+                        )
+        runs: Dict[str, Dict[str, float]] = {}
+        for n_shards, per_query in samples.items():
+            cheapest = [min(rounds) for rounds in per_query.values()]
+            runs[str(n_shards)] = {
+                key: sum(sample[i] for sample in cheapest)
+                for i, key in enumerate(
+                    ("cpu_seconds", "wall_seconds", "plan_seconds", "busy_seconds")
+                )
             }
 
-        # Measured wall clock is only meaningful when the workers do not
-        # time-slice a single core; otherwise the critical-path model is
-        # the honest headline (and it still charges all serial overhead).
-        mode = "measured" if cpu_count >= max(SHARD_COUNTS) else "modeled"
-        key = "wall_seconds" if mode == "measured" else "modeled_wall_seconds"
-        baseline = runs[SHARD_COUNTS[0]][key]
-        speedups = {str(s): baseline / runs[s][key] for s in SHARD_COUNTS}
-        throughput = {str(s): len(hubs) / runs[s][key] for s in SHARD_COUNTS}
+        baseline = runs[str(SHARD_COUNTS[0])]
+        speedups = {
+            str(s): (
+                baseline["wall_seconds"] / runs[str(s)]["wall_seconds"]
+                if cpu_count >= s
+                else None
+            )
+            for s in SHARD_COUNTS
+        }
+        cpu_growth = {
+            str(s): runs[str(s)]["cpu_seconds"] / baseline["cpu_seconds"]
+            for s in SHARD_COUNTS
+        }
 
         sidecar = {
             "graph": {"n": graph.n, "m": graph.m},
@@ -112,12 +134,12 @@ class TestShardThroughput:
                 "queries": len(hubs),
                 "quick": quick,
             },
-            "host": {"cpu_count": cpu_count, "mode": mode},
+            "host": {"cpu_count": cpu_count},
             "runs_seconds": runs,
-            "throughput_qps": throughput,
-            "speedups": speedups,
+            "wall_speedups": speedups,
+            "cpu_growth": cpu_growth,
         }
         write_sidecar(SIDECAR_PATH, "shard", sidecar)
 
-        assert speedups["2"] >= (1.0 if quick else 1.2)
-        assert speedups["4"] >= (1.3 if quick else 1.7)
+        limit = QUICK_CPU_GROWTH_LIMIT if quick else CPU_GROWTH_LIMIT
+        assert cpu_growth["4"] <= limit, cpu_growth

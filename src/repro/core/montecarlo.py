@@ -182,7 +182,14 @@ class SingleSourceEstimator:
         config: Optional[SimRankConfig] = None,
         seed: SeedLike = None,
         diagonal: DiagonalLike = None,
+        sketch_u: Optional[Sketch] = None,
     ) -> None:
+        """``sketch_u`` is the :attr:`sketch_u` of an estimator built
+        from the same ``seed``, when one exists (a query plan carries
+        it); u's walks are then not simulated again.  :meth:`estimate`
+        draws from the stream those walks would have advanced, so only
+        :meth:`estimate_batch` matches the original estimator.
+        """
         self.graph = graph
         self.config = config or SimRankConfig()
         if not 0 <= u < graph.n:
@@ -191,20 +198,23 @@ class SingleSourceEstimator:
         self.diagonal = resolve_diagonal(graph.n, self.config.c, diagonal)
         self._sketch_cls = sketch_class(self.config)
         self.engine = WalkEngine(graph, ensure_rng(seed))
-        self._sketch_u: Sketch = self._sketch_cls(
-            self.engine.walk_matrix(self.u, self.config.r_pair, self.config.T)
-        )
+        self.walks_simulated = 0
+        if sketch_u is None:
+            sketch_u = self._sketch_cls(
+                self.engine.walk_matrix(self.u, self.config.r_pair, self.config.T)
+            )
+            self.walks_simulated = self.config.r_pair
+            if obs.OBS.enabled:
+                obs.record_walk_bundle(
+                    walks=self.config.r_pair, steps=self.config.r_pair * self.config.T
+                )
+        self.sketch_u: Sketch = sketch_u
         # Canonical int root for per-candidate derived seeds.  Resolved
         # *after* the u-bundle so a Generator seed feeds the u-walks the
         # same draws as before this field existed.
         self._batch_seed: Optional[int] = (
             seed if (seed is None or isinstance(seed, int)) else derive_seed(seed)
         )
-        self.walks_simulated = self.config.r_pair
-        if obs.OBS.enabled:
-            obs.record_walk_bundle(
-                walks=self.config.r_pair, steps=self.config.r_pair * self.config.T
-            )
 
     def estimate(self, v: int, R: Optional[int] = None) -> float:
         """Estimate s^(T)(u, v) with a fresh R-walk bundle for v."""
@@ -220,7 +230,7 @@ class SingleSourceEstimator:
         if obs.OBS.enabled:
             terms: List[float] = []
             value = _series_from_sketches(
-                self._sketch_u, sketch_v, self.config.c, self.diagonal, terms_out=terms
+                self.sketch_u, sketch_v, self.config.c, self.diagonal, terms_out=terms
             )
             obs.record_walk_bundle(
                 walks=samples,
@@ -228,7 +238,7 @@ class SingleSourceEstimator:
                 meetings=sum(1 for term in terms if term > 0.0),
             )
             return value
-        return _series_from_sketches(self._sketch_u, sketch_v, self.config.c, self.diagonal)
+        return _series_from_sketches(self.sketch_u, sketch_v, self.config.c, self.diagonal)
 
     def estimate_batch(
         self, candidates: Sequence[int], R: Optional[int] = None
@@ -284,7 +294,7 @@ class SingleSourceEstimator:
         """
         T, c = self.config.T, self.config.c
         B = int(others.size)
-        sketch_u = self._sketch_u
+        sketch_u = self.sketch_u
         assert isinstance(sketch_u, FlatSketch)
         uniforms = np.concatenate(
             [self._candidate_uniforms(int(v), samples) for v in others], axis=1
@@ -320,7 +330,7 @@ class SingleSourceEstimator:
             )
             terms: List[float] = []
             values[i] = _series_from_sketches(
-                self._sketch_u, sketch_v, self.config.c, self.diagonal, terms_out=terms
+                self.sketch_u, sketch_v, self.config.c, self.diagonal, terms_out=terms
             )
             meetings += sum(1 for term in terms if term > 0.0)
         return values, meetings

@@ -9,17 +9,20 @@ single-process engine's answer**, including the `QueryStats` counters.
 How the pieces fit:
 
 - :class:`~repro.shard.plan.ShardPlan` assigns every vertex to a shard
-  (modulo partitioning) and serializes as a manifest;
+  (modulo partitioning);
 - :class:`~repro.shard.memory.SharedArrayBundle` lays the engine's
   arrays (CSR graph, packed candidate index, γ table, diagonal) into
   one `multiprocessing.shared_memory` segment per epoch; workers attach
   the segment and rebuild a read-only engine over zero-copy views
   (:mod:`repro.shard.codec`);
-- each worker scores only the candidates its shard *owns*, but at the
-  conservative θ-floor cutoff (:func:`~repro.shard.worker.score_shard`);
-  the coordinator replays the exact frozen-per-shell adaptive scan over
-  the merged per-candidate records (:func:`~repro.shard.merge.replay_merge`),
-  which is where bit-identity comes from — see `docs/serving.md`;
+- the coordinator plans each query once
+  (:func:`~repro.core.query.plan_query`) and sends every worker the
+  slice of the plan its shard *owns*; the worker runs the single-process
+  scan on that slice at the conservative θ-floor cutoff
+  (:func:`~repro.shard.worker.score_shard`), and the coordinator runs
+  the same scan over the full plan, reading the gathered estimates
+  (:func:`~repro.shard.merge.replay_merge`) — which is where
+  bit-identity comes from; see `docs/serving.md`;
 - :class:`~repro.shard.pool.ShardPool` owns the worker processes, the
   epoch lifecycle (publish / dual-epoch retention / release), and the
   scatter-gather query path;

@@ -1,26 +1,21 @@
-"""Scatter-gather merge: replay Algorithm 5's scan over shard records.
+"""Scatter-gather merge: Algorithm 5's scan over the gathered estimates.
 
-The workers did all the numeric work at the θ-floor; this module runs
-the *control flow* of the single-process scan — shell batching, the
-frozen-per-shell cutoff, θ-termination, adaptive promote, the k-heap —
-over the merged per-candidate records.  Since every number it reads is
-the exact bit pattern the single process would have computed (see
-:mod:`repro.shard.worker`), the replay reproduces the heap's insertion
-sequence and therefore the result items *and* the `QueryStats`
-counters exactly (``elapsed_seconds`` aside — walltime is not a
-semantic output).
+The coordinator runs the same :func:`~repro.core.query.scan` as a single
+process, on the full plan, with a score source that looks estimates up
+in the shards' replies instead of computing them.  Since every estimate
+is the exact bit pattern the single process would have computed (see
+:mod:`repro.shard.worker`), the scan makes the same decisions in the
+same order, so the result items *and* the `QueryStats` counters match
+exactly (``elapsed_seconds`` aside — walltime is not a semantic output).
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import SimRankConfig
-from repro.core.query import QueryStats, TopKResult
+from repro.core.query import QueryPlan, TopKResult, scan
 from repro.errors import ShardError
 
 
@@ -28,132 +23,24 @@ __all__ = ["replay_merge"]
 
 
 def replay_merge(
-    u: int,
-    k: int,
-    config: SimRankConfig,
-    shard_results: Sequence[Dict[str, Any]],
-    use_l1: bool = True,
-    adaptive: bool = True,
+    plan: QueryPlan, shard_results: Sequence[Dict[str, Any]]
 ) -> TopKResult:
-    """Merge per-shard θ-floor records into the exact single-process answer."""
-    stats = QueryStats()
-    live = [r for r in shard_results if r is not None]
-    if not live:
-        raise ShardError("no shard results to merge")
-    stats.fallback_used = bool(live[0]["fallback_used"])
+    """Scan ``plan`` with the estimates the shards computed at the θ-floor."""
+    gathered: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    for R in {R for result in shard_results for R in result["scores"]}:
+        parts = [result["scores"][R] for result in shard_results if R in result["scores"]]
+        vertices = np.concatenate([v for v, _ in parts])
+        order = np.argsort(vertices)
+        gathered[R] = (vertices[order], np.concatenate([s for _, s in parts])[order])
 
-    v_all = np.concatenate([r["v"] for r in live])
-    stats.candidates = int(v_all.size)
-    result = TopKResult(u=u, k=k, stats=stats)
-    if v_all.size == 0:
-        _finish_stats(stats, config, use_l1=use_l1, has_candidates=False)
-        return result
-    d_all = np.concatenate([r["d"] for r in live])
-    bound_all = np.concatenate([r["bound"] for r in live])
-    screen_all = np.concatenate([r["screen"] for r in live])
-    refined_all = np.concatenate([r["refined"] for r in live])
+    def lookup(vertices: np.ndarray, R: int) -> np.ndarray:
+        known, values = gathered.get(R, (np.empty(0, dtype=np.int64), np.empty(0)))
+        at = np.minimum(np.searchsorted(known, vertices), max(known.size - 1, 0))
+        if known.size == 0 or not np.array_equal(known[at], vertices):
+            raise ShardError(
+                f"merge needed an R={R} estimate no shard computed — "
+                "θ-floor superset invariant violated (protocol bug)"
+            )
+        return values[at]
 
-    # Recover the exact (distance, vertex) scan order of the sequential
-    # algorithm; lexsort's last key is primary.
-    order = np.lexsort((v_all, d_all))
-    v_all = v_all[order]
-    d_all = d_all[order]
-    bound_all = bound_all[order]
-    screen_all = screen_all[order]
-    refined_all = refined_all[order]
-
-    beta = None
-    if use_l1:
-        for r in live:
-            if r["beta"] is not None:
-                beta = np.asarray(r["beta"], dtype=np.float64)
-                break
-        if beta is None:
-            raise ShardError("use_l1 replay needs a beta vector from a shard")
-    beta_d_max = (beta.shape[0] - 1) if beta is not None else 0
-
-    heap: List[Tuple[float, int]] = []
-
-    def cutoff() -> float:
-        return max(config.theta, heap[0][0] if len(heap) >= k else 0.0)
-
-    total = int(v_all.size)
-    position = 0
-    while position < total:
-        d = int(d_all[position])
-        end = position
-        while end < total and int(d_all[end]) == d:
-            end += 1
-        if beta is not None:
-            remaining_best = float(beta[min(d, beta_d_max):].max())
-            if remaining_best < cutoff():
-                stats.stopped_early_at_distance = d
-                stats.skipped_by_termination = total - position
-                break
-        shell = v_all[position:end]
-        bound = bound_all[position:end]
-        screen = screen_all[position:end]
-        refined = refined_all[position:end]
-        position = end
-
-        cut = cutoff()
-        _require_finite(bound, "bound")
-        keep = bound >= cut
-        stats.pruned_by_bound += int(shell.size - int(np.count_nonzero(keep)))
-        if not keep.any():
-            continue
-        survivors = shell[keep]
-        if adaptive:
-            scores = screen[keep]
-            _require_finite(scores, "screen")
-            stats.screened += int(survivors.size)
-            promote = scores >= cut * config.screen_slack
-            if promote.any():
-                scores = scores.copy()
-                promoted = refined[keep][promote]
-                _require_finite(promoted, "refined")
-                scores[promote] = promoted
-                stats.refined += int(np.count_nonzero(promote))
-        else:
-            scores = refined[keep]
-            _require_finite(scores, "refined")
-            stats.refined += int(survivors.size)
-
-        for v, score in zip(survivors.tolist(), scores.tolist()):
-            if score >= config.theta:
-                if len(heap) < k:
-                    heapq.heappush(heap, (score, v))
-                elif score > heap[0][0]:
-                    heapq.heapreplace(heap, (score, v))
-
-    result.items = sorted(
-        ((vertex, score) for score, vertex in heap), key=lambda it: (-it[1], it[0])
-    )
-    _finish_stats(stats, config, use_l1=use_l1, has_candidates=True)
-    return result
-
-
-def _finish_stats(
-    stats: QueryStats, config: SimRankConfig, use_l1: bool, has_candidates: bool
-) -> None:
-    """Reconstruct ``walks_simulated`` from the replay's own decisions.
-
-    The single process counts r_alphabeta for the β-vector, r_pair for
-    the estimator's u-sketch, then R per batched candidate — all of
-    which the replay knows exactly.
-    """
-    if not has_candidates:
-        return
-    walks = config.r_pair  # estimator construction (u-sketch)
-    if use_l1:
-        walks += config.r_alphabeta
-    walks += stats.screened * config.r_screen + stats.refined * config.r_pair
-    stats.walks_simulated = walks
-
-
-def _require_finite(values: np.ndarray, kind: str) -> None:
-    if values.size and math.isnan(float(np.min(values))):
-        raise ShardError(
-            f"replay needed a {kind} value a shard never computed — "
-            "θ-floor superset invariant violated (protocol bug)"
-        )
+    return scan(plan, plan.k, lookup)

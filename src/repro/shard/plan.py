@@ -11,7 +11,6 @@ would hand whole hub neighborhoods to one worker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
 
 import numpy as np
 
@@ -28,8 +27,8 @@ class ShardPlan:
     """Immutable vertex→shard assignment for ``n`` vertices.
 
     ``shard_of(v) = v mod n_shards`` under the (only) ``modulo``
-    strategy.  The plan travels to workers inside the epoch manifest,
-    so both sides always agree on ownership.
+    strategy.  Only the coordinator consults it: it sends each worker
+    the slice of a query plan that worker owns.
     """
 
     n: int
@@ -61,18 +60,3 @@ class ShardPlan:
     def owned_mask(self, vertices: np.ndarray, shard_id: int) -> np.ndarray:
         """Boolean mask of which ``vertices`` belong to ``shard_id``."""
         return np.asarray(vertices, dtype=np.int64) % self.n_shards == shard_id
-
-    def to_manifest(self) -> Dict[str, Any]:
-        """JSON/pickle-safe form for the epoch manifest."""
-        return {"n": self.n, "n_shards": self.n_shards, "strategy": self.strategy}
-
-    @classmethod
-    def from_manifest(cls, manifest: Dict[str, Any]) -> "ShardPlan":
-        try:
-            return cls(
-                n=int(manifest["n"]),
-                n_shards=int(manifest["n_shards"]),
-                strategy=str(manifest.get("strategy", "modulo")),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"shard plan manifest is missing field {exc}") from exc

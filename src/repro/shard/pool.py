@@ -26,11 +26,11 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeoutError
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SimRankConfig
 from repro.core.engine import SimRankEngine
-from repro.core.query import TopKResult
+from repro.core.query import TopKResult, plan_query
 from repro.errors import (
     ShardCrashError,
     ShardError,
@@ -43,6 +43,7 @@ from repro.shard.memory import SharedArrayBundle
 from repro.shard.merge import replay_merge
 from repro.shard.plan import ShardPlan
 from repro.shard.worker import worker_main
+from repro.utils.rng import derive_seed
 from repro.utils.sync import make_lock
 
 
@@ -169,7 +170,7 @@ class ShardPool:
         self._current_epoch: Optional[int] = None  # locked-by: _lock
         self._overrides: Dict[str, Any] = {}  # locked-by: _lock
         self.engine = engine  # the latest published (local) engine
-        self.plan = ShardPlan(n=engine.graph.n, n_shards=n_shards)
+        self.partition = ShardPlan(n=engine.graph.n, n_shards=n_shards)
         self.workers = [_Worker(self, i) for i in range(n_shards)]
         try:
             self.publish(engine, epoch=0)
@@ -208,13 +209,11 @@ class ShardPool:
                 raise ShardError(f"epoch {epoch} is already published")
         arrays, meta = engine_to_arrays(engine, seed)
         bundle = SharedArrayBundle.export(arrays)
-        plan = ShardPlan(n=engine.graph.n, n_shards=self.n_shards)
         msg = {
             "op": "load_epoch",
             "epoch": epoch,
             "manifest": bundle.manifest(),
             "meta": meta,
-            "plan": plan.to_manifest(),
         }
         try:
             self._gather([w.request(msg) for w in self.workers], "load_epoch")
@@ -222,10 +221,12 @@ class ShardPool:
             bundle.close()
             raise
         with self._lock:
-            self._epochs[epoch] = {"bundle": bundle, "inflight": 0, "plan": plan}
+            self._epochs[epoch] = {
+                "bundle": bundle, "inflight": 0, "engine": engine, "seed": seed,
+            }
             self._current_epoch = epoch
             self.engine = engine
-            self.plan = plan
+            self.partition = ShardPlan(n=engine.graph.n, n_shards=self.n_shards)
         self._sweep_releases()
         self._record_epoch_gauges()
         return epoch
@@ -280,7 +281,7 @@ class ShardPool:
         # anything else (a missed epoch, a seed change) disqualifies it.
         if (
             base_state is None
-            or stats.old_n != base_state["plan"].n
+            or stats.old_n != base_state["engine"].graph.n
             or stats.new_n != new_n
         ):
             return None
@@ -288,7 +289,6 @@ class ShardPool:
             engine, stats.adds, stats.removes, stats.affected, stats.old_n
         )
         bundle = SharedArrayBundle.export(arrays, name_hint="repro-shard-delta")
-        plan = ShardPlan(n=new_n, n_shards=self.n_shards)
         msg = {
             "op": "patch",
             "epoch": epoch,
@@ -300,7 +300,6 @@ class ShardPool:
                 "config": config_to_dict(engine.config),
                 "build_seconds": engine.index.build_seconds,
             },
-            "plan": plan.to_manifest(),
         }
         try:
             self._gather([w.request(msg) for w in self.workers], "patch")
@@ -311,10 +310,12 @@ class ShardPool:
         with self._lock:
             # Patched epochs own no parent-side segment: workers hold
             # process-local arrays, there is nothing to unlink on release.
-            self._epochs[epoch] = {"bundle": None, "inflight": 0, "plan": plan}
+            self._epochs[epoch] = {
+                "bundle": None, "inflight": 0, "engine": engine, "seed": seed,
+            }
             self._current_epoch = epoch
             self.engine = engine
-            self.plan = plan
+            self.partition = ShardPlan(n=new_n, n_shards=self.n_shards)
         if obs.OBS.enabled:
             obs.record_shard_delta_publish()
         self._sweep_releases()
@@ -324,9 +325,9 @@ class ShardPool:
     def set_overrides(self, overrides: Dict[str, Any]) -> None:
         """Replace the query-time config overrides every scatter carries.
 
-        The values travel *inside each query message* and the
-        coordinator replays with the exact set it scattered, so worker
-        and merge configs can never disagree mid-propagation — the
+        Each query plans under the set current when it starts, and the
+        plan slices carry that config to the workers, so worker and
+        merge configs can never disagree mid-propagation — the
         bit-identity contract of :mod:`repro.shard.merge` holds through
         a live tune.  Validated by building the config view up front.
         """
@@ -343,7 +344,7 @@ class ShardPool:
             self.engine.config.with_(**overrides) if overrides else self.engine.config
         )
 
-    def _pin(self, epoch: Optional[int]) -> int:
+    def _pin(self, epoch: Optional[int]) -> Tuple[int, Dict[str, Any]]:
         with self._lock:
             if self._current_epoch is None:
                 raise ShardError("pool has no published epoch")
@@ -356,7 +357,7 @@ class ShardPool:
                     "pool's two-epoch retention window"
                 )
             state["inflight"] += 1
-            return pinned
+            return pinned, state
 
     def _unpin(self, epoch: int) -> None:
         with self._lock:
@@ -405,60 +406,55 @@ class ShardPool:
         extra_candidates: Optional[Sequence[int]] = None,
         timings_out: Optional[Dict[str, Any]] = None,
     ) -> TopKResult:
-        """Scatter a top-k query to every shard and replay-merge the answer.
+        """Plan once, scatter each shard its slice, merge by the same scan.
 
-        Bit-identical to ``engine.top_k(u, k)`` on the published engine
-        (same integer seed), including the stats counters; see
-        :mod:`repro.shard.merge`.
+        Bit-identical to ``engine.top_k(u, k)`` on the pinned epoch's
+        engine (same integer seed), including the stats counters; see
+        :mod:`repro.shard.merge`.  ``timings_out`` receives the wall
+        time, the coordinator's planning CPU time and each shard's CPU
+        busy time.
         """
         start = time.perf_counter()
-        n = self.plan.n
-        if not 0 <= int(u) < n:
-            raise VertexError(int(u), n)
-        # Capture the override set once: the same dict travels in every
-        # scatter message AND parameterises the replay below, so worker
-        # and coordinator configs agree even if set_overrides() lands
-        # mid-query.
         with self._lock:
             overrides = dict(self._overrides)
-        config = (
-            self.engine.config.with_(**overrides) if overrides else self.engine.config
-        )
-        resolved_k = k if k is not None else config.k
-        if resolved_k < 1:
-            raise ValueError(f"k must be >= 1, got {resolved_k}")
-        pinned = self._pin(epoch)
+        pinned, state = self._pin(epoch)
         try:
-            msg = {
-                "op": "query",
-                "epoch": pinned,
-                "u": int(u),
-                "k": resolved_k,
-                "use_l1": use_l1,
-                "use_l2": use_l2,
-                "adaptive": adaptive,
-                "overrides": overrides or None,
-                "extra_candidates": (
-                    list(extra_candidates) if extra_candidates is not None else None
-                ),
-            }
-            results = self._gather(
-                [w.request(msg) for w in self.workers], "query"
-            )
-            merged = replay_merge(
+            engine = state["engine"]
+            plan_start = time.thread_time()
+            # Same derivation as engine.top_k, with the seed the workers hold.
+            plan = plan_query(
+                engine.graph,
+                engine.index,
                 int(u),
-                resolved_k,
-                config,
-                results,
+                k=k,
+                config=engine.config.with_(**overrides) if overrides else engine.config,
+                seed=derive_seed(state["seed"], 11, int(u)),
+                diagonal=engine.diagonal,
                 use_l1=use_l1,
+                use_l2=use_l2,
                 adaptive=adaptive,
+                extra_candidates=extra_candidates,
             )
+            plan_seconds = time.thread_time() - plan_start
+            futures = [
+                w.request({
+                    "op": "query",
+                    "epoch": pinned,
+                    "plan": plan.select(
+                        self.partition.owned_mask(plan.candidates, w.shard_id)
+                    ),
+                })
+                for w in self.workers
+            ]
+            results = self._gather(futures, "query")
+            merged = replay_merge(plan, results)
         finally:
             self._unpin(pinned)
         elapsed = time.perf_counter() - start
         merged.stats.elapsed_seconds = elapsed
         if timings_out is not None:
             timings_out["wall_seconds"] = elapsed
+            timings_out["plan_seconds"] = plan_seconds
             timings_out["busy_seconds"] = [
                 float(r["busy_seconds"]) for r in results
             ]
@@ -469,7 +465,7 @@ class ShardPool:
 
     def single_pair(self, u: int, v: int, epoch: Optional[int] = None) -> float:
         """Route ``s(u, v)`` to the shard that owns ``u``."""
-        n = self.plan.n
+        n = self.partition.n
         for vertex in (u, v):
             if not 0 <= int(vertex) < n:
                 raise VertexError(int(vertex), n)
@@ -477,9 +473,9 @@ class ShardPool:
             return 1.0
         with self._lock:
             overrides = dict(self._overrides)
-        pinned = self._pin(epoch)
+        pinned, _ = self._pin(epoch)
         try:
-            worker = self.workers[self.plan.shard_of(int(u))]
+            worker = self.workers[self.partition.shard_of(int(u))]
             future = worker.request(
                 {
                     "op": "pair",

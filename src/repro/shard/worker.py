@@ -1,20 +1,20 @@
-"""Shard worker: the conservative θ-floor scorer and the process loop.
+"""Shard worker: θ-floor scoring of a plan slice, and the process loop.
 
-**Why bit-identity survives sharding.**  Every per-candidate number the
-single-process Algorithm 5 computes is *composition-independent*: batch
-estimates draw from per-candidate derived seeds
-(``derive_seed(batch_seed, v, R)``), γ bounds are row-wise, and the L1
-β-vector depends only on ``(seed, u)``.  The only state that couples
-candidates is the *control flow* — the k-heap cutoff that decides who
-gets pruned, screened, or refined.  So each shard scores its owned
-candidates at the **θ-floor** (the loosest cutoff the real scan can
-ever have, since ``cutoff() = max(θ, kth_best)``): it prunes only what
-θ alone prunes, screens every floor-survivor, and refines everything
-whose screen clears ``θ·screen_slack``.  Because the real cutoff is
-always ≥ θ and ``screen_slack ≤ 1``, the floor decisions are a strict
-superset of the real scan's — every value the coordinator's replay
-(:func:`repro.shard.merge.replay_merge`) will ask for has been
-computed, with the exact bits the single process would have produced.
+**Why bit-identity survives sharding.**  The coordinator plans the
+query once (:func:`repro.core.query.plan_query`) and sends each worker
+the slice of the plan it owns.  An estimate is a function of
+``(vertex, R)`` alone — batch estimates draw from per-candidate derived
+seeds (``derive_seed(batch_seed, v, R)``) — so the only state that
+couples candidates is the k-heap cutoff that decides who gets pruned,
+screened, or refined.  Each worker therefore runs the single-process
+:func:`~repro.core.query.scan` on its slice with ``k=None``, i.e. at
+the **θ-floor**, the loosest cutoff the real scan can ever have (since
+``cutoff() = max(θ, kth_best)``).  Because the real cutoff is always
+≥ θ and ``screen_slack ≤ 1``, the floor scan asks for a superset of
+the estimates the real scan asks for, and the worker returns all of
+them: the coordinator's scan (:func:`repro.shard.merge.replay_merge`)
+finds every value it needs, with the bits the single process would
+have computed.
 
 The worker process itself is a small message loop over a duplex pipe:
 ``load_epoch`` attaches a :class:`SharedArrayBundle` and rebuilds the
@@ -31,172 +31,45 @@ most the two newest epochs, so a swap never races an in-flight query.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.bounds import compute_alpha_beta, trivial_bound
 from repro.core.engine import SimRankEngine
-from repro.core.montecarlo import SingleSourceEstimator, single_pair_simrank
-from repro.core.query import QueryStats, _gather_candidates
+from repro.core.montecarlo import single_pair_simrank
+from repro.core.query import QueryPlan, estimator_scores, scan
 from repro.errors import VertexError
-from repro.graph.traversal import UNREACHABLE, bfs_distances
-from repro.shard.plan import ShardPlan
 from repro.utils.rng import derive_seed
 
 
 __all__ = ["score_shard", "shard_pair", "worker_main"]
 
 
-def score_shard(
-    engine: SimRankEngine,
-    plan: ShardPlan,
-    shard_id: int,
-    u: int,
-    k: Optional[int] = None,
-    use_l1: bool = True,
-    use_l2: bool = True,
-    adaptive: bool = True,
-    extra_candidates: Optional[Sequence[int]] = None,
-) -> Dict[str, Any]:
-    """θ-floor scoring of the candidates ``shard_id`` owns, for query ``u``.
+def score_shard(engine: SimRankEngine, plan: QueryPlan) -> Dict[str, Any]:
+    """θ-floor scan of one shard's slice of a query plan.
 
-    Pure function of ``(engine seed, u, shard assignment)`` — every
-    shard sees the *full* candidate set (so the global <2k fallback
-    decision and shell structure replicate exactly) but spends walk
-    budget only on its owned slice.  Returns per-candidate record
-    arrays in (distance, vertex) order plus the β-vector; values the
-    floor never needed are NaN, and by the superset argument above the
-    replay never reads those.
+    Returns every estimate the scan computed as ``{"scores": {R:
+    (vertices, values)}, "busy_seconds": ...}``; by the superset
+    argument above, the coordinator's scan reads only from these.
     """
     # CPU time, not wall clock: workers on an oversubscribed host spend
     # much of each request descheduled, and busy_seconds must mean "the
-    # compute this shard performed" for the coordinator's critical-path
-    # accounting to hold regardless of core count.
+    # compute this shard performed" regardless of core count.
     start_time = time.process_time()
-    graph, index, config = engine.graph, engine.index, engine.config
-    seed = derive_seed(engine.seed, 11, u)
-    if not 0 <= u < graph.n:
-        raise VertexError(u, graph.n)
-    k = k if k is not None else config.k
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    estimate = estimator_scores(engine.graph, plan, engine.diagonal)
+    computed: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
 
-    stats = QueryStats()
-    candidates = _gather_candidates(
-        graph, index, u, config, stats,
-        list(extra_candidates) if extra_candidates is not None else None, k,
-    )
-    empty_f = np.empty(0, dtype=np.float64)
-    result: Dict[str, Any] = {
-        "v": np.empty(0, dtype=np.int64),
-        "d": np.empty(0, dtype=np.int64),
-        "bound": empty_f,
-        "screen": empty_f,
-        "refined": empty_f,
-        "beta": None,
-        "fallback_used": stats.fallback_used,
-        "busy_seconds": 0.0,
+    def record(vertices: np.ndarray, R: int) -> np.ndarray:
+        values = estimate(vertices, R)
+        computed.setdefault(R, []).append((vertices, values))
+        return values
+
+    scan(plan, None, record)
+    scores = {
+        R: (np.concatenate([v for v, _ in parts]), np.concatenate([s for _, s in parts]))
+        for R, parts in computed.items()
     }
-    if not candidates:
-        result["busy_seconds"] = time.process_time() - start_time
-        return result
-
-    d_max = config.effective_d_max
-    distances = bfs_distances(graph, u, direction="both", max_distance=d_max)
-
-    l1 = None
-    if use_l1:
-        l1 = compute_alpha_beta(
-            graph,
-            u,
-            config=config,
-            seed=derive_seed(seed, u, 101),
-            diagonal=engine.diagonal,
-            distances=distances,
-        )
-    gamma = index.gamma if (index is not None and use_l2) else None
-    estimator = SingleSourceEstimator(
-        graph, u, config=config, seed=derive_seed(seed, u, 202),
-        diagonal=engine.diagonal,
-    )
-
-    def candidate_distance(v: int) -> int:
-        d = int(distances[v])
-        return d if d != UNREACHABLE else d_max
-
-    ordered = sorted(candidates, key=lambda v: (candidate_distance(v), v))
-    theta = config.theta
-
-    v_rows: List[np.ndarray] = []
-    d_rows: List[np.ndarray] = []
-    bound_rows: List[np.ndarray] = []
-    screen_rows: List[np.ndarray] = []
-    refined_rows: List[np.ndarray] = []
-
-    position = 0
-    terminated = False
-    while position < len(ordered):
-        d = candidate_distance(ordered[position])
-        end = position
-        while end < len(ordered) and candidate_distance(ordered[end]) == d:
-            end += 1
-        if l1 is not None and not terminated:
-            # θ-floor termination: once even θ alone would stop the real
-            # scan, any replay cutoff (≥ θ) stops at or before here.
-            if float(l1.beta[min(d, l1.d_max):].max()) < theta:
-                terminated = True
-        shell_all = ordered[position:end]
-        position = end
-        owned = np.asarray(
-            [v for v in shell_all if plan.shard_of(v) == shard_id], dtype=np.int64
-        )
-        if owned.size == 0:
-            continue
-        v_rows.append(owned)
-        d_rows.append(np.full(owned.size, d, dtype=np.int64))
-        if terminated:
-            nan = np.full(owned.size, np.nan)
-            bound_rows.append(nan)
-            screen_rows.append(nan)
-            refined_rows.append(nan.copy())
-            continue
-
-        bound = np.full(owned.size, trivial_bound(config.c, d))
-        if l1 is not None:
-            bound = np.minimum(bound, l1.bound(d))
-        if gamma is not None:
-            bound = np.minimum(bound, gamma.bound_many(u, owned))
-        screen = np.full(owned.size, np.nan)
-        refined = np.full(owned.size, np.nan)
-        alive = bound >= theta
-        if alive.any():
-            survivors = owned[alive]
-            if adaptive:
-                scores = estimator.estimate_batch(survivors, R=config.r_screen)
-                screen[alive] = scores
-                promote = scores >= theta * config.screen_slack
-                if promote.any():
-                    refined[np.flatnonzero(alive)[promote]] = (
-                        estimator.estimate_batch(survivors[promote], R=config.r_pair)
-                    )
-            else:
-                refined[alive] = estimator.estimate_batch(
-                    survivors, R=config.r_pair
-                )
-        bound_rows.append(bound)
-        screen_rows.append(screen)
-        refined_rows.append(refined)
-
-    if v_rows:
-        result["v"] = np.concatenate(v_rows)
-        result["d"] = np.concatenate(d_rows)
-        result["bound"] = np.concatenate(bound_rows)
-        result["screen"] = np.concatenate(screen_rows)
-        result["refined"] = np.concatenate(refined_rows)
-    result["beta"] = l1.beta if l1 is not None else None
-    result["busy_seconds"] = time.process_time() - start_time
-    return result
+    return {"scores": scores, "busy_seconds": time.process_time() - start_time}
 
 
 def shard_pair(engine: SimRankEngine, u: int, v: int) -> float:
@@ -231,8 +104,8 @@ def worker_main(conn: Any, shard_id: int) -> None:
     from repro.shard.codec import engine_from_arrays, patch_engine_arrays
     from repro.shard.memory import SharedArrayBundle
 
-    # epoch -> (bundle | None, engine, plan); patched epochs own no
-    # segment (their arrays are process-local), so bundle is None.
+    # epoch -> (bundle | None, engine); patched epochs own no segment
+    # (their arrays are process-local), so bundle is None.
     epochs: Dict[int, Any] = {}
 
     def reply(msg_id: int, result: Any) -> None:
@@ -258,11 +131,10 @@ def worker_main(conn: Any, shard_id: int) -> None:
             elif op == "load_epoch":
                 bundle = SharedArrayBundle.attach(msg["manifest"])
                 engine = engine_from_arrays(bundle.arrays, msg["meta"])
-                plan = ShardPlan.from_manifest(msg["plan"])
-                epochs[msg["epoch"]] = (bundle, engine, plan)
+                epochs[msg["epoch"]] = (bundle, engine)
                 reply(msg_id, None)
             elif op == "patch":
-                _, base_engine, _ = epochs[msg["base_epoch"]]
+                _, base_engine = epochs[msg["base_epoch"]]
                 delta = SharedArrayBundle.attach(msg["manifest"])
                 try:
                     arrays = patch_engine_arrays(
@@ -274,43 +146,28 @@ def worker_main(conn: Any, shard_id: int) -> None:
                     del base_engine
                     delta.close()
                 engine = engine_from_arrays(arrays, msg["meta"])
-                plan = ShardPlan.from_manifest(msg["plan"])
-                epochs[msg["epoch"]] = (None, engine, plan)
+                epochs[msg["epoch"]] = (None, engine)
                 reply(msg_id, None)
             elif op == "release_epoch":
                 state = epochs.pop(msg["epoch"], None)
                 if state is not None:
-                    bundle, engine, plan = state
-                    del state, engine, plan  # drop views before close
+                    bundle, engine = state
+                    del state, engine  # drop views before close
                     if bundle is not None:  # patched epochs own no segment
                         bundle.close()
                 reply(msg_id, None)
             elif op == "query":
-                bundle, engine, plan = epochs[msg["epoch"]]
+                # The plan slice carries the query's config, live
+                # tunables included.
+                bundle, engine = epochs[msg["epoch"]]
+                reply(msg_id, score_shard(engine, msg["plan"]))
+            elif op == "pair":
+                bundle, engine = epochs[msg["epoch"]]
                 overrides = msg.get("overrides")
                 if overrides:
                     # Query-time config carried by the coordinator (live
                     # tunables); a zero-copy view, never a mutation of
                     # the resident epoch engine.
-                    engine = engine.with_config(**overrides)
-                reply(
-                    msg_id,
-                    score_shard(
-                        engine,
-                        plan,
-                        shard_id,
-                        msg["u"],
-                        k=msg.get("k"),
-                        use_l1=msg.get("use_l1", True),
-                        use_l2=msg.get("use_l2", True),
-                        adaptive=msg.get("adaptive", True),
-                        extra_candidates=msg.get("extra_candidates"),
-                    ),
-                )
-            elif op == "pair":
-                bundle, engine, plan = epochs[msg["epoch"]]
-                overrides = msg.get("overrides")
-                if overrides:
                     engine = engine.with_config(**overrides)
                 reply(msg_id, shard_pair(engine, msg["u"], msg["v"]))
             elif op == "health":

@@ -73,6 +73,11 @@ KNOWN_DTYPES = frozenset(
     }
 )
 
+#: The canonical descriptor of each known dtype.  numpy reuses these
+#: objects for every native-order array, so an identity test settles
+#: almost every check without computing ``dtype.name``.
+_CANONICAL = {name: np.dtype(name) for name in KNOWN_DTYPES}
+
 F = TypeVar("F", bound=Callable[..., Any])
 
 #: one dimension of a shape spec: a concrete extent or a named symbol.
@@ -149,7 +154,7 @@ def _check(
 ) -> None:
     if not isinstance(value, np.ndarray):
         return
-    if value.dtype.name != spec.dtype:
+    if value.dtype is not _CANONICAL[spec.dtype] and value.dtype.name != spec.dtype:
         raise ContractViolationError(
             f"{qualname}: {label} must be {spec.describe()}, "
             f"got dtype {value.dtype.name}"

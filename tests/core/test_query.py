@@ -48,6 +48,9 @@ class TestBasicBehaviour:
         graph, index, config = indexed
         with pytest.raises(VertexError):
             top_k_query(graph, index, graph.n, config=config)
+        for bad in ([-1], [graph.n]):
+            with pytest.raises(VertexError):
+                top_k_query(graph, index, 3, config=config, extra_candidates=bad)
 
     def test_invalid_k(self, indexed):
         graph, index, config = indexed

@@ -165,6 +165,38 @@ class TestPoolPatchProtocol:
             for u in probes:
                 assert pool.top_k(u).items == dynamic.engine.top_k(u).items
 
+    def test_pinned_epoch_plans_against_its_own_engine(
+        self, shard_graph, delta_config
+    ):
+        dynamic = DynamicSimRankEngine(
+            shard_graph, delta_config, seed=4, rebuild_fraction=1.0
+        )
+        probes = (0, 3, 5, 7, 40, 90, 119)
+        base = dynamic.engine
+        expected = {u: base.top_k(u) for u in probes}
+        with ShardPool(base, 2) as pool:
+            pinned = pool.epoch
+            # Edits beside the probes, and growth: a coordinator that
+            # planned against the newest engine would see other
+            # candidates, distances and bounds.
+            dynamic.add_edge(3, 90)
+            dynamic.add_edge(5, 40)
+            dynamic.add_edge(0, 121)
+            dynamic.add_edge(121, 7)
+            stats = dynamic.flush()
+            assert pool.publish_delta(dynamic.engine, stats) == pinned + 1
+            assert any(
+                dynamic.engine.top_k(u).items != expected[u].items for u in probes
+            )
+            for u in probes:
+                got = pool.top_k(u, epoch=pinned)
+                assert got.items == expected[u].items
+                got_stats = dataclasses.asdict(got.stats)
+                want_stats = dataclasses.asdict(expected[u].stats)
+                got_stats.pop("elapsed_seconds")
+                want_stats.pop("elapsed_seconds")
+                assert got_stats == want_stats
+
     def test_ineligible_deltas_fall_back_to_none(self, shard_graph, delta_config):
         dynamic = DynamicSimRankEngine(
             shard_graph, delta_config, seed=4, rebuild_fraction=1.0

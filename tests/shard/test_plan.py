@@ -31,15 +31,6 @@ class TestShardPlan:
         plan = ShardPlan(n=12, n_shards=1)
         np.testing.assert_array_equal(plan.owned(0), np.arange(12))
 
-    def test_manifest_round_trip(self):
-        plan = ShardPlan(n=40, n_shards=4)
-        rebuilt = ShardPlan.from_manifest(plan.to_manifest())
-        assert rebuilt == plan
-
-    def test_bad_manifest_is_config_error(self):
-        with pytest.raises(ConfigError):
-            ShardPlan.from_manifest({"n": 10})
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -56,9 +56,17 @@ class TestScatterGather:
         for u, v in [(0, 1), (3, 77), (118, 2)]:
             assert pool.single_pair(u, v) == shard_engine.single_pair(u, v)
 
-    def test_out_of_range_vertex_fails_before_scatter(self, pool):
+    def test_out_of_range_vertex_fails_before_scatter(self, pool, monkeypatch):
+        def scatter(msg):
+            raise AssertionError(f"scattered {msg['op']!r} for an invalid vertex")
+
+        for worker in pool.workers:
+            monkeypatch.setattr(worker, "request", scatter)
         with pytest.raises(VertexError):
             pool.top_k(10_000)
+        for bad in ([-1], [10_000]):
+            with pytest.raises(VertexError):
+                pool.top_k(9, extra_candidates=bad)
         with pytest.raises(VertexError):
             pool.single_pair(0, 10_000)
 

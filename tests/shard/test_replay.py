@@ -1,11 +1,11 @@
 """Bit-identity of the scatter-gather decomposition, fully in-process.
 
 The acceptance property of the shard subsystem: for ANY shard count,
-``score_shard`` on each shard followed by ``replay_merge`` produces the
-same :class:`TopKResult` — items AND QueryStats — as the single-process
-engine, because every per-candidate number is derived from the same
-seeds and the coordinator replays the engine's exact control flow over
-the concatenated shard records (see ``repro/shard/merge.py``).
+one ``plan_query``, ``score_shard`` on each shard's slice of the plan,
+then ``replay_merge`` produces the same :class:`TopKResult` — items AND
+QueryStats — as the single-process engine, because every estimate is
+derived from the same seeds and the coordinator runs the engine's own
+scan over the gathered estimates (see ``repro/shard/merge.py``).
 """
 
 from __future__ import annotations
@@ -14,25 +14,28 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.core.query import plan_query
 from repro.shard.merge import replay_merge
 from repro.shard.plan import ShardPlan
 from repro.shard.worker import score_shard, shard_pair
+from repro.utils.rng import derive_seed
+
+
+def engine_plan(engine, u, k=None, **kwargs):
+    return plan_query(
+        engine.graph, engine.index, u, k=k, config=engine.config,
+        seed=derive_seed(engine.seed, 11, u), diagonal=engine.diagonal, **kwargs,
+    )
 
 
 def scatter_gather(engine, u, n_shards, k=None, **kwargs):
-    plan = ShardPlan(n=engine.graph.n, n_shards=n_shards)
+    plan = engine_plan(engine, u, k=k, **kwargs)
+    partition = ShardPlan(n=engine.graph.n, n_shards=n_shards)
     results = [
-        score_shard(engine, plan, shard_id, u, k=k, **kwargs)
+        score_shard(engine, plan.select(partition.owned_mask(plan.candidates, shard_id)))
         for shard_id in range(n_shards)
     ]
-    return replay_merge(
-        u,
-        k if k is not None else engine.config.k,
-        engine.config,
-        results,
-        use_l1=kwargs.get("use_l1", True),
-        adaptive=kwargs.get("adaptive", True),
-    )
+    return replay_merge(plan, results)
 
 
 def assert_identical(merged, reference):
@@ -99,12 +102,13 @@ class TestShardPair:
 
 class TestWorkerContract:
     def test_busy_seconds_reported(self, shard_engine):
-        plan = ShardPlan(n=shard_engine.graph.n, n_shards=2)
-        result = score_shard(shard_engine, plan, 0, 5)
+        result = score_shard(shard_engine, engine_plan(shard_engine, 5))
         assert result["busy_seconds"] >= 0.0
 
     def test_merge_requires_results(self, shard_engine):
         from repro.errors import ShardError
 
+        plan = engine_plan(shard_engine, 5)
+        assert len(plan) > 0
         with pytest.raises(ShardError):
-            replay_merge(0, 5, shard_engine.config, [None, None])
+            replay_merge(plan, [{"scores": {}, "busy_seconds": 0.0}])

@@ -7,15 +7,15 @@ index, and expanded one blast-radius ball **per edit** — O(m + index)
 work per batch regardless of how small the batch was, with queries
 blocked behind it.  The current path scales with the delta instead:
 :meth:`~repro.graph.csr.CSRGraph.apply_delta` splices only touched
-adjacency rows, :meth:`~repro.core.index.CandidateIndex.clone_cow`
-copies rows lazily, edited-edge targets are deduplicated before ball
+adjacency rows, :meth:`~repro.core.index.CandidateIndex.with_rows`
+splices only the affected index rows the same way, edited-edge targets are deduplicated before ball
 expansion, and a :class:`~repro.core.dynamic.FlushPipeline` runs the
 whole thing on a dedicated thread while queries serve the last
 published snapshot.
 
 ``SeedSyncWriter`` below replicates the seed costs faithfully (global
-sorted edge set + ``from_edges`` + deep ``clone()`` + per-edit balls +
-the same row repair) so the headline ratio isolates exactly what this
+sorted edge set + ``from_edges`` + a copy of every index row + per-edit
+balls + the same row recomputation) so the headline ratio isolates exactly what this
 layer changed.  Both paths apply the identical edit stream.
 
 Gates (relaxed under ``REPRO_BENCH_QUICK=1``):
@@ -40,11 +40,11 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.core.bounds import compute_gamma_rows
+from repro.core.bounds import GammaTable, compute_gamma_rows
 from repro.core.config import SimRankConfig
 from repro.core.dynamic import DynamicSimRankEngine, FlushPipeline
 from repro.core.engine import SimRankEngine
-from repro.core.index import build_signatures
+from repro.core.index import CandidateIndex, build_signatures
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import copying_web_graph
 from repro.graph.traversal import distance_ball
@@ -69,9 +69,11 @@ class SeedSyncWriter:
 
     Per batch: update the global edge set, rebuild the CSR from the
     sorted whole (O(m log m)), expand one out-ball per edit (no target
-    dedup), deep-clone the index, then repair the affected rows the
-    same way the live path does — so the comparison isolates the delta
-    merge, COW patching, dedup, and off-path coalescing.
+    dedup), recompute the affected rows the same way the live path
+    does, then rebuild the candidate graph H from every row and copy
+    the whole γ table (the seed's deep index clone, O(index)) — so the
+    comparison isolates the delta merge, row splicing, dedup, and
+    off-path coalescing.
     """
 
     def __init__(self, graph: CSRGraph, config: SimRankConfig, seed: int) -> None:
@@ -115,12 +117,6 @@ class SeedSyncWriter:
                 new_graph, self.config, seed=self.seed
             ).preprocess()
             return applied
-        index = self.engine.index.clone()  # deep: every row copied
-        index.n = new_graph.n
-        if new_graph.n > old_graph.n:
-            index.signatures.extend([[] for _ in range(old_graph.n, new_graph.n)])
-            pad = np.zeros((new_graph.n - index.gamma.values.shape[0], index.gamma.T))
-            index.gamma.values = np.vstack([index.gamma.values, pad])
         ordered = sorted(affected)
         preprocess_seed = derive_seed(self.seed, 7)
         signatures = build_signatures(
@@ -130,10 +126,23 @@ class SeedSyncWriter:
         gamma_rows = compute_gamma_rows(
             new_graph, ordered, self.config, seed=derive_seed(preprocess_seed, 2)
         )
-        for u, signature in zip(ordered, signatures):
-            index.replace_signature(u, signature)
+        old_index = self.engine.index
+        kept = old_index.H.edge_array()
+        kept = kept[~np.isin(kept[:, 0], ordered)]
+        fresh = np.array(
+            [(u, w) for u, row in zip(ordered, signatures) for w in row], dtype=np.int64
+        ).reshape(-1, 2)
+        H = CSRGraph.from_edges(new_graph.n, np.concatenate([kept, fresh]))
+        values = np.zeros((new_graph.n, old_index.gamma.T))
+        values[: old_graph.n] = old_index.gamma.values
         if ordered:
-            index.gamma.values[np.asarray(ordered, dtype=np.int64)] = gamma_rows
+            values[np.asarray(ordered, dtype=np.int64)] = gamma_rows
+        index = CandidateIndex(
+            config=self.config,
+            H=H,
+            gamma=GammaTable(c=self.config.c, values=values),
+            build_seconds=old_index.build_seconds,
+        )
         engine = SimRankEngine(new_graph, self.config, seed=self.seed)
         engine._index = index  # noqa: SLF001 - same surgery the seed did
         self.engine = engine

@@ -32,7 +32,7 @@ determinism contract of the batched estimators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional
 
 from repro.utils.validation import check_fraction, check_positive_int
@@ -140,6 +140,10 @@ class SimRankConfig:
     def with_(self, **overrides: object) -> "SimRankConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **overrides)  # type: ignore[arg-type]
+
+    def to_dict(self) -> Dict[str, object]:
+        """The full constructor-kwargs form (JSON/pickle safe)."""
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

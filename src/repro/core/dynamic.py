@@ -26,7 +26,7 @@ never m):
    flush time, and membership checks are O(log degree);
 2. :meth:`DynamicSimRankEngine.flush` promotes the staged overlay to an
    *inflight* buffer under the state lock, then does all heavy work —
-   delta CSR merge, blast-radius expansion, COW index repair — **off
+   delta CSR merge, blast-radius expansion, index row repair — **off
    the lock**, and publishes the new engine in a second short critical
    section (double-buffered publish: writers keep staging into the
    fresh overlay the whole time);
@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.bounds import GammaTable, compute_gamma_rows
+from repro.core.bounds import compute_gamma_rows
 from repro.core.config import SimRankConfig
 from repro.core.engine import SimRankEngine
 from repro.core.index import build_signatures
@@ -332,8 +332,8 @@ class DynamicSimRankEngine:
         """Apply staged edits; rebuild only the affected index rows.
 
         Publishes a **new** :class:`SimRankEngine` (the previous one and
-        its index are never mutated — the incremental path patches a
-        row-level :meth:`~repro.core.index.CandidateIndex.clone_cow`),
+        its index are never mutated — the incremental path builds a new
+        index with :meth:`~repro.core.index.CandidateIndex.with_rows`),
         so readers holding the old ``engine`` keep a consistent
         snapshot.  The heavy work — delta CSR merge, ball expansion,
         row repair — runs **outside** the state lock: edit staging and
@@ -437,7 +437,7 @@ class DynamicSimRankEngine:
         new_graph: CSRGraph,
         ordered: List[int],
     ) -> SimRankEngine:
-        """COW-patch ``base_engine``'s index onto ``new_graph``.
+        """``base_engine``'s index with the ``ordered`` rows recomputed on ``new_graph``.
 
         Recomputation uses the exact full-preprocess seed chain
         (``derive_seed(seed, 7)`` then ``…,1`` for signatures / ``…,2``
@@ -446,18 +446,8 @@ class DynamicSimRankEngine:
         ``SimRankEngine(new_graph, config, seed).preprocess()`` builds.
         """
         config = self.config
-        base_index = base_engine.index
-        index = base_index.clone_cow()
-        old_n, new_n = base_index.n, new_graph.n
-        index.n = new_n
-        if new_n > old_n:
-            index.signatures.extend([[] for _ in range(old_n, new_n)])
-            values = np.zeros((new_n, base_index.gamma.T))
-            values[:old_n] = base_index.gamma.values
-        else:
-            values = base_index.gamma.values.copy()
         preprocess_seed = derive_seed(self._seed, 7)
-        new_signatures = build_signatures(
+        signatures = build_signatures(
             new_graph,
             config,
             seed=derive_seed(preprocess_seed, 1),
@@ -466,13 +456,7 @@ class DynamicSimRankEngine:
         gamma_rows = compute_gamma_rows(
             new_graph, ordered, config, seed=derive_seed(preprocess_seed, 2)
         )
-        for u, signature in zip(ordered, new_signatures):
-            index.replace_signature(u, signature)
-        if ordered:
-            values[np.asarray(ordered, dtype=np.int64)] = gamma_rows
-        # A fresh GammaTable, never an in-place write: the base table's
-        # array may still back snapshots of the outgoing engine.
-        index.gamma = GammaTable(c=config.c, values=values)
+        index = base_engine.index.with_rows(ordered, signatures, gamma_rows, n=new_graph.n)
         engine = SimRankEngine(new_graph, config, seed=self._seed)
         engine._index = index  # noqa: SLF001 - deliberate surgery
         return engine

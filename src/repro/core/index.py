@@ -12,23 +12,27 @@ paper states this rule twice, slightly differently:
   confirmation walks collide at step t (selectable via
   ``candidate_rule="pseudocode"``).
 
-Vertices u and v become mutual candidates when their signature sets
-intersect — implemented with an inverted list, so candidate enumeration
-is a union of short postings.  Total index space is O(nP) plus the O(nT)
-γ table, the paper's "small space" claim.
+H is stored as a :class:`~repro.graph.csr.CSRGraph` with an edge
+u → w for each signature vertex w of u: out-row u is u's signature
+set and in-row w is w's posting list.  Vertices u and v become mutual
+candidates when their signature sets intersect — two hops u → w ← v,
+so candidate enumeration is a union of short in-rows.  Total index
+space is O(nP) plus the O(nT) γ table, the paper's "small space" claim.
+H's arrays are read-only; a changed index is a new one
+(:meth:`CandidateIndex.with_rows`), never a patched one.
 """
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.errors import SerializationError, VertexError
+from repro.errors import GraphFormatError, SerializationError, VertexError
 from repro.graph.csr import CSRGraph
 from repro.core.bounds import GammaTable, compute_gamma_all
 from repro.core.config import SimRankConfig
@@ -40,7 +44,6 @@ from repro.utils.rng import SeedLike, derive_seed, ensure_rng
 __all__ = [
     "INDEX_FORMAT_VERSION",
     "CandidateIndex",
-    "BufferBackedCandidateIndex",
     "signature_for_vertex",
     "build_signatures",
     "build_index",
@@ -48,20 +51,24 @@ __all__ = [
 INDEX_FORMAT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateIndex:
-    """The preprocess artefact: signature sets, inverted lists, γ table."""
+    """The preprocess artefact: the candidate graph H plus the γ table."""
 
     config: SimRankConfig
-    n: int
-    signatures: List[List[int]]
-    inverted: Dict[int, List[int]]
+    H: CSRGraph
     gamma: GammaTable
     build_seconds: float = 0.0
-    #: Posting-list keys whose lists still alias a ``clone_cow()`` parent
-    #: (``None`` on fully-materialised indexes); ``replace_signature``
-    #: copies such a list before its first write.
-    _cow_shared: Optional[Set[int]] = None
+
+    def __post_init__(self) -> None:
+        # H's arrays are read-only already; γ joins them, so a snapshot
+        # cannot be patched in place.
+        self.gamma.values.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        """Number of vertices covered."""
+        return self.H.n
 
     def candidates(self, u: int, include_self: bool = False) -> List[int]:
         """All v whose signature set intersects u's (sorted, deduplicated).
@@ -70,101 +77,52 @@ class CandidateIndex:
         """
         if not 0 <= u < self.n:
             raise VertexError(u, self.n)
+        indptr, indices = self.H.in_indptr, self.H.in_indices
         found: Set[int] = set()
-        for signature_vertex in self.signatures[u]:
-            found.update(self.inverted.get(signature_vertex, ()))
+        for w in self.H.out_neighbors(u).tolist():
+            found.update(indices[indptr[w] : indptr[w + 1]].tolist())
         if not include_self:
             found.discard(u)
         return sorted(found)
 
-    def replace_signature(self, u: int, new_signature: Sequence[int]) -> None:
-        """Swap one vertex's signature, keeping the inverted lists exact.
+    def with_rows(
+        self,
+        rows: Sequence[int],
+        signatures: Sequence[Iterable[int]],
+        gamma_rows: np.ndarray,
+        n: Optional[int] = None,
+    ) -> "CandidateIndex":
+        """A new index with the signature and γ rows of ``rows`` replaced.
 
-        The incremental-maintenance hook: old postings of ``u`` are
-        removed, new ones inserted (sorted, so candidate output order is
-        unchanged vs a full rebuild).
+        The incremental-maintenance path, shared by the in-process flush
+        and the shard delta: each row is diffed against H, the diff goes
+        through :meth:`CSRGraph.apply_delta` (bit-identical to a full
+        rebuild), and γ rows are assigned into a fresh array.  ``n``
+        grows the vertex set; grown vertices must be among ``rows``.
+        This index is left untouched.
         """
-        if not 0 <= u < self.n:
-            raise VertexError(u, self.n)
-        # Posting lists reached through a clone_cow() may still alias the
-        # parent index; materialise a private copy before the first write.
-        shared = self._cow_shared
-        for vertex in self.signatures[u]:
-            key = int(vertex)
-            postings = self.inverted.get(key)
-            if postings is not None:
-                if shared is not None and key in shared:
-                    postings = list(postings)
-                    self.inverted[key] = postings
-                    shared.discard(key)
-                try:
-                    postings.remove(u)
-                except ValueError:
-                    pass
-                if not postings:
-                    del self.inverted[key]
-        cleaned = sorted({int(v) for v in new_signature})
-        self.signatures[u] = cleaned
-        for vertex in cleaned:
-            postings = self.inverted.get(vertex)
-            if postings is None:
-                postings = []
-                self.inverted[vertex] = postings
-            elif shared is not None and vertex in shared:
-                postings = list(postings)
-                self.inverted[vertex] = postings
-                shared.discard(vertex)
-            # Keep postings sorted for deterministic candidate output.
-            bisect.insort(postings, u)
-
-    def clone(self) -> "CandidateIndex":
-        """An independent deep copy (config shared — it is frozen).
-
-        Incremental maintenance patches index rows in place; cloning
-        first is what lets :class:`~repro.core.dynamic.DynamicSimRankEngine`
-        publish the patched index as a *new* engine while readers of the
-        old one (in-flight queries on a serve snapshot) keep a
-        consistent view.  Cost is O(index size) — far below the walk
-        recomputation a flush performs anyway.
-        """
+        n_new = self.n if n is None else int(n)
+        adds: List[Tuple[int, int]] = []
+        removes: List[Tuple[int, int]] = []
+        for u, signature in zip(rows, signatures):
+            old = set(self.H.out_neighbors(u).tolist()) if u < self.n else set()
+            new = {int(w) for w in signature}
+            adds.extend((u, w) for w in sorted(new - old))
+            removes.extend((u, w) for w in sorted(old - new))
+        values = np.zeros((n_new, self.gamma.T))
+        values[: self.n] = self.gamma.values
+        if len(rows):
+            values[np.asarray(rows, dtype=np.int64)] = gamma_rows
         return CandidateIndex(
             config=self.config,
-            n=self.n,
-            signatures=[list(s) for s in self.signatures],
-            inverted={k: list(v) for k, v in self.inverted.items()},
-            gamma=GammaTable(c=self.gamma.c, values=self.gamma.values.copy()),
+            H=self.H.apply_delta(adds, removes, n=n_new),
+            gamma=GammaTable(c=self.config.c, values=values),
             build_seconds=self.build_seconds,
-        )
-
-    def clone_cow(self) -> "CandidateIndex":
-        """Row-level copy-on-write clone — O(n) pointers, not O(index).
-
-        The outer containers (signature list, inverted dict) are fresh,
-        so rebinding a row never touches the parent; the *rows* —
-        signature lists, posting lists, the γ array — stay shared until
-        written.  :meth:`replace_signature` copies a shared posting list
-        the first time it mutates it (tracked in ``_cow_shared``), and
-        signature rows are always rebound wholesale, never edited in
-        place.  The caller must treat ``gamma`` the same way: publish a
-        fresh :class:`GammaTable`, never write ``gamma.values[u] = ...``
-        through a COW clone.  This is what makes a flush O(Δ) instead of
-        O(index): the deep :meth:`clone` copies every posting of every
-        vertex even when two rows changed.
-        """
-        inverted = dict(self.inverted)
-        return CandidateIndex(
-            config=self.config,
-            n=self.n,
-            signatures=list(self.signatures),
-            inverted=inverted,
-            gamma=self.gamma,
-            build_seconds=self.build_seconds,
-            _cow_shared=set(inverted),
         )
 
     def signature_size_stats(self) -> Dict[str, float]:
         """Mean/max signature-set sizes — diagnostic for index quality."""
-        sizes = np.array([len(s) for s in self.signatures], dtype=np.float64)
+        sizes = self.H.out_degrees.astype(np.float64)
         if sizes.size == 0:
             return {"mean": 0.0, "max": 0.0, "empty_fraction": 1.0}
         return {
@@ -174,49 +132,26 @@ class CandidateIndex:
         }
 
     def nbytes(self) -> int:
-        """Index payload bytes: signatures + inverted lists + γ table.
+        """Index payload bytes: signatures + posting lists + γ table.
 
         Counted as packed int64/float64 payloads (see
         :mod:`repro.utils.memory`) so comparisons against the baselines'
         O(nR'T) and O(n^2) indexes reflect algorithmic space.
         """
-        signature_bytes = sum(8 * len(s) for s in self.signatures)
-        inverted_bytes = sum(8 * len(v) for v in self.inverted.values())
-        return signature_bytes + inverted_bytes + self.gamma.nbytes()
+        edges = self.H.out_indices.nbytes + self.H.in_indices.nbytes
+        return int(edges) + self.gamma.nbytes()
 
     # ------------------------------------------------------------------
     # Zero-copy buffer export / attach
     # ------------------------------------------------------------------
 
     def to_buffers(self) -> Dict[str, np.ndarray]:
-        """Pack the index payload into six flat arrays (one-time copy).
+        """H's four CSR arrays plus ``gamma``, all live (no copies).
 
         The inverse of :meth:`from_buffers`; together they form the
-        shared-memory transport contract of :mod:`repro.shard`.  Postings
-        are concatenated in ascending-key order and each posting list is
-        itself sorted, so the packed form reproduces :meth:`candidates`
-        output exactly.  ``gamma`` is the live γ-table array (no copy).
+        shared-memory transport contract of :mod:`repro.shard`.
         """
-        flat_signatures = np.array(
-            [v for s in self.signatures for v in s], dtype=np.int64
-        )
-        signature_offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in self.signatures], out=signature_offsets[1:])
-        keys = sorted(self.inverted)
-        posting_keys = np.asarray(keys, dtype=np.int64)
-        posting_offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum([len(self.inverted[key]) for key in keys], out=posting_offsets[1:])
-        postings = np.array(
-            [u for key in keys for u in self.inverted[key]], dtype=np.int64
-        )
-        return {
-            "signature_offsets": signature_offsets,
-            "signatures": flat_signatures,
-            "posting_keys": posting_keys,
-            "posting_offsets": posting_offsets,
-            "postings": postings,
-            "gamma": self.gamma.values,
-        }
+        return {**self.H.to_buffers(), "gamma": self.gamma.values}
 
     @classmethod
     def from_buffers(
@@ -225,23 +160,16 @@ class CandidateIndex:
         n: int,
         buffers: Dict[str, np.ndarray],
         build_seconds: float = 0.0,
-    ) -> "BufferBackedCandidateIndex":
+    ) -> "CandidateIndex":
         """Reconstruct a queryable index over existing arrays, copying none.
 
-        Returns a :class:`BufferBackedCandidateIndex` whose
-        :meth:`candidates` runs directly on the packed arrays — this is
-        how shard workers answer queries out of a shared-memory segment
-        owned by another process.
+        This is how shard workers answer queries out of a shared-memory
+        segment owned by another process.
         """
         try:
-            return BufferBackedCandidateIndex(
+            return cls(
                 config=config,
-                n=int(n),
-                signature_offsets=buffers["signature_offsets"],
-                signature_flat=buffers["signatures"],
-                posting_keys=buffers["posting_keys"],
-                posting_offsets=buffers["posting_offsets"],
-                postings=buffers["postings"],
+                H=CSRGraph.from_buffers(n, buffers),
                 gamma=GammaTable(c=config.c, values=buffers["gamma"]),
                 build_seconds=build_seconds,
             )
@@ -249,6 +177,8 @@ class CandidateIndex:
             raise SerializationError(
                 f"index buffer set is missing array {exc}"
             ) from exc
+        except GraphFormatError as exc:
+            raise SerializationError(f"index buffers are inconsistent: {exc}") from exc
 
     # ------------------------------------------------------------------
     # Serialization
@@ -256,51 +186,29 @@ class CandidateIndex:
 
     def save(self, path: Union[str, Path]) -> None:
         """Persist to a .npz alongside a JSON config sidecar payload."""
-        path = Path(path)
-        flat_signatures = np.array(
-            [v for s in self.signatures for v in s], dtype=np.int64
-        )
-        signature_offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in self.signatures], out=signature_offsets[1:])
         meta = {
             "version": INDEX_FORMAT_VERSION,
             "n": self.n,
             "build_seconds": self.build_seconds,
-            "config": {
-                "c": self.config.c,
-                "T": self.config.T,
-                "r_pair": self.config.r_pair,
-                "r_screen": self.config.r_screen,
-                "r_alphabeta": self.config.r_alphabeta,
-                "r_gamma": self.config.r_gamma,
-                "index_walks": self.config.index_walks,
-                "index_checks": self.config.index_checks,
-                "k": self.config.k,
-                "theta": self.config.theta,
-                "d_max": self.config.d_max,
-                "candidate_rule": self.config.candidate_rule,
-                "fallback_ball_radius": self.config.fallback_ball_radius,
-                "screen_slack": self.config.screen_slack,
-                "kernel": self.config.kernel,
-            },
+            "config": self.config.to_dict(),
         }
         np.savez_compressed(
-            path,
+            Path(path),
             meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-            signatures=flat_signatures,
-            signature_offsets=signature_offsets,
+            signatures=self.H.out_indices,
+            signature_offsets=self.H.out_indptr,
             gamma=self.gamma.values,
         )
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CandidateIndex":
-        """Load an index written by :meth:`save`; the inverted lists are rebuilt.
+        """Load an index written by :meth:`save`; H's in-rows are rebuilt.
 
         Every failure mode — unreadable file, truncated archive, wrong
         format version, missing arrays, internally inconsistent
-        offsets — raises :class:`~repro.errors.SerializationError` with
-        a message naming the problem, never a raw numpy/zip/struct
-        error.
+        offsets, signature vertices or γ table — raises
+        :class:`~repro.errors.SerializationError` with a message naming
+        the problem, never a raw numpy/zip/struct error.
         """
         import zipfile
 
@@ -325,169 +233,40 @@ class CandidateIndex:
             offsets = payload["signature_offsets"]
             flat = payload["signatures"]
             n = int(meta["n"])
-            _validate_index_arrays(path, n, offsets, flat, payload["gamma"])
-            signatures = [
-                [int(v) for v in flat[offsets[u] : offsets[u + 1]]] for u in range(n)
-            ]
-            gamma = GammaTable(c=config.c, values=payload["gamma"])
+            gamma_values = payload["gamma"]
+            _validate_index_arrays(path, n, config, offsets, flat, gamma_values)
+            H = _candidate_graph(n, np.diff(offsets), flat)
         except KeyError as exc:
             raise SerializationError(f"index file {path} is missing field {exc}") from exc
+        except VertexError as exc:
+            raise SerializationError(
+                f"index file {path} is corrupt: signature entry {exc}"
+            ) from exc
         except (TypeError, ValueError, OSError, zipfile.BadZipFile) as exc:
             raise SerializationError(f"index file {path} is corrupt: {exc}") from exc
-        index = cls(
+        return cls(
             config=config,
-            n=n,
-            signatures=signatures,
-            inverted=_invert(signatures),
-            gamma=gamma,
+            H=H,
+            gamma=GammaTable(c=config.c, values=gamma_values),
             build_seconds=float(meta.get("build_seconds", 0.0)),
         )
-        return index
 
 
-class BufferBackedCandidateIndex(CandidateIndex):
-    """A read-only :class:`CandidateIndex` view over packed flat arrays.
+#: Kept for ``benchmarks/e2e/traced_server.py``, which imports this name.
+BufferBackedCandidateIndex = CandidateIndex
 
-    Built by :meth:`CandidateIndex.from_buffers`, typically over arrays
-    attached from a :class:`multiprocessing.shared_memory` segment that
-    another process owns.  :meth:`candidates` is answered array-natively
-    (binary search over the posting keys, one ``np.unique`` merge) so no
-    per-vertex Python lists need to exist; the list/dict ``signatures``
-    and ``inverted`` attributes materialize lazily — and privately —
-    only if legacy code touches them.
 
-    Mutation (:meth:`replace_signature`) is refused: the backing arrays
-    may be shared read-only across processes.  :meth:`clone` (inherited)
-    materializes an ordinary mutable :class:`CandidateIndex`, which is
-    exactly the clone-then-patch path the dynamic engine needs.
-    """
-
-    _signature_offsets: np.ndarray
-    _signature_flat: np.ndarray
-    _posting_keys: np.ndarray
-    _posting_offsets: np.ndarray
-    _postings: np.ndarray
-
-    def __init__(
-        self,
-        config: SimRankConfig,
-        n: int,
-        signature_offsets: np.ndarray,
-        signature_flat: np.ndarray,
-        posting_keys: np.ndarray,
-        posting_offsets: np.ndarray,
-        postings: np.ndarray,
-        gamma: GammaTable,
-        build_seconds: float = 0.0,
-    ) -> None:
-        if signature_offsets.ndim != 1 or signature_offsets.shape[0] != n + 1:
-            raise SerializationError(
-                f"index buffers are inconsistent: expected {n + 1} signature "
-                f"offsets for n={n}, got shape {signature_offsets.shape}"
-            )
-        if posting_offsets.ndim != 1 or posting_offsets.shape[0] != posting_keys.shape[0] + 1:
-            raise SerializationError(
-                "index buffers are inconsistent: posting_offsets must have "
-                f"{posting_keys.shape[0] + 1} entries, got shape {posting_offsets.shape}"
-            )
-        self.config = config
-        self.n = int(n)
-        self.gamma = gamma
-        self.build_seconds = float(build_seconds)
-        self._signature_offsets = signature_offsets
-        self._signature_flat = signature_flat
-        self._posting_keys = posting_keys
-        self._posting_offsets = posting_offsets
-        self._postings = postings
-
-    def candidates(self, u: int, include_self: bool = False) -> List[int]:
-        """Array-native Algorithm 5 line 2 over the packed postings."""
-        if not 0 <= u < self.n:
-            raise VertexError(u, self.n)
-        offsets = self._signature_offsets
-        signature = self._signature_flat[offsets[u] : offsets[u + 1]]
-        if signature.size == 0:
-            return []
-        keys = self._posting_keys
-        positions = np.searchsorted(keys, signature)
-        parts: List[np.ndarray] = []
-        for position, vertex in zip(positions.tolist(), signature.tolist()):
-            if position < keys.shape[0] and int(keys[position]) == vertex:
-                lo = self._posting_offsets[position]
-                hi = self._posting_offsets[position + 1]
-                parts.append(self._postings[lo:hi])
-        if not parts:
-            return []
-        merged = np.unique(np.concatenate(parts))
-        if not include_self:
-            merged = merged[merged != u]
-        return [int(v) for v in merged.tolist()]
-
-    def replace_signature(self, u: int, new_signature: Sequence[int]) -> None:
-        raise TypeError(
-            "BufferBackedCandidateIndex is read-only (its arrays may be "
-            "shared across processes); clone() it to get a mutable index"
-        )
-
-    def to_buffers(self) -> Dict[str, np.ndarray]:
-        """The backing arrays themselves — re-export is copy-free."""
-        return {
-            "signature_offsets": self._signature_offsets,
-            "signatures": self._signature_flat,
-            "posting_keys": self._posting_keys,
-            "posting_offsets": self._posting_offsets,
-            "postings": self._postings,
-            "gamma": self.gamma.values,
-        }
-
-    def signature_size_stats(self) -> Dict[str, float]:
-        sizes = np.diff(self._signature_offsets).astype(np.float64)
-        if sizes.size == 0:
-            return {"mean": 0.0, "max": 0.0, "empty_fraction": 1.0}
-        return {
-            "mean": float(sizes.mean()),
-            "max": float(sizes.max()),
-            "empty_fraction": float((sizes == 0).mean()),
-        }
-
-    def nbytes(self) -> int:
-        return int(self._signature_flat.nbytes + self._postings.nbytes) + self.gamma.nbytes()
-
-    def __getattr__(self, name: str) -> Any:
-        # Lazy bridge for legacy list/dict access; query paths never hit it.
-        if name == "signatures":
-            offsets = self._signature_offsets
-            flat = self._signature_flat
-            signatures = [
-                [int(v) for v in flat[offsets[u] : offsets[u + 1]]]
-                for u in range(self.n)
-            ]
-            self.signatures = signatures
-            return signatures
-        if name == "inverted":
-            keys = self._posting_keys
-            offsets = self._posting_offsets
-            inverted = {
-                int(keys[i]): [int(u) for u in self._postings[offsets[i] : offsets[i + 1]]]
-                for i in range(keys.shape[0])
-            }
-            self.inverted = inverted
-            return inverted
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"BufferBackedCandidateIndex(n={self.n}, "
-            f"signature_entries={int(self._signature_flat.shape[0])}, "
-            f"posting_entries={int(self._postings.shape[0])})"
-        )
+def _candidate_graph(n: int, sizes: np.ndarray, flat: np.ndarray) -> CSRGraph:
+    """H from concatenated signature rows: an edge u → w per entry."""
+    sources = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    edges = np.column_stack([sources, flat]).astype(np.int64, copy=False)
+    return CSRGraph.from_edges(n, edges)
 
 
 def _validate_index_arrays(
     path: Path,
     n: int,
+    config: SimRankConfig,
     offsets: np.ndarray,
     flat: np.ndarray,
     gamma_values: np.ndarray,
@@ -520,20 +299,11 @@ def _validate_index_arrays(
             f"index file {path} is truncated: offsets expect "
             f"{int(offsets[-1])} signature entries, payload holds {flat.shape[0]}"
         )
-    if gamma_values.ndim != 2 or gamma_values.shape[0] != n:
+    if gamma_values.ndim != 2 or gamma_values.shape != (n, config.T):
         raise SerializationError(
-            f"index file {path} is corrupt: gamma table covers "
-            f"{gamma_values.shape[0] if gamma_values.ndim == 2 else gamma_values.shape} "
-            f"vertices, header declares {n}"
+            f"index file {path} is corrupt: gamma table has shape "
+            f"{gamma_values.shape}, header declares n={n} and T={config.T}"
         )
-
-
-def _invert(signatures: Sequence[Sequence[int]]) -> Dict[int, List[int]]:
-    inverted: Dict[int, List[int]] = {}
-    for u, signature in enumerate(signatures):
-        for vertex in signature:
-            inverted.setdefault(int(vertex), []).append(u)
-    return inverted
 
 
 def _signatures_from_block(
@@ -670,16 +440,13 @@ def build_index(
         gamma = compute_gamma_all(graph, config, seed=derive_seed(seed, 2))
     gamma_mark = time.perf_counter()
     with obs.trace("preprocess.invert"):
-        inverted = _invert(signatures)
+        sizes = np.fromiter(map(len, signatures), dtype=np.int64, count=graph.n)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(signatures), dtype=np.int64, count=int(sizes.sum())
+        )
+        H = _candidate_graph(graph.n, sizes, flat)
     end = time.perf_counter()
-    index = CandidateIndex(
-        config=config,
-        n=graph.n,
-        signatures=signatures,
-        inverted=inverted,
-        gamma=gamma,
-        build_seconds=end - start,
-    )
+    index = CandidateIndex(config=config, H=H, gamma=gamma, build_seconds=end - start)
     if obs.OBS.enabled:
         obs.record_preprocess(
             vertices=graph.n,

@@ -69,9 +69,8 @@ class JoinResult:
 def _candidate_pairs(index: CandidateIndex) -> Set[Tuple[int, int]]:
     """All u < v sharing at least one signature vertex."""
     pairs: Set[Tuple[int, int]] = set()
-    for postings in index.inverted.values():
-        if len(postings) < 2:
-            continue
+    for w in range(index.n):
+        postings = index.H.in_neighbors(w).tolist()
         for i, u in enumerate(postings):
             for v in postings[i + 1 :]:
                 pairs.add((u, v))

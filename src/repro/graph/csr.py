@@ -25,12 +25,15 @@ are zero; the corresponding walk terminates, see
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GraphFormatError, VertexError
+
+#: (source, target) pairs: a sequence of tuples or an (m, 2) int array.
+EdgeList = Union[Sequence[Tuple[int, int]], np.ndarray]
 
 
 class CSRGraph:
@@ -77,20 +80,17 @@ class CSRGraph:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_edges(cls, n: int, edges: Sequence[Tuple[int, int]]) -> "CSRGraph":
+    def from_edges(cls, n: int, edges: EdgeList) -> "CSRGraph":
         """Build from a vertex count and an iterable of (source, target) pairs.
 
         Duplicate edges are kept as given (deduplicate in
         :class:`~repro.graph.digraph.DiGraphBuilder` if needed);
-        endpoints must lie in ``[0, n)``.
+        endpoints must lie in ``[0, n)``.  An (m, 2) int64 array is
+        used as-is, without a round trip through Python tuples.
         """
         if n < 0:
             raise GraphFormatError(f"vertex count must be nonnegative, got {n}")
-        edge_array = np.asarray(list(edges), dtype=np.int64)
-        if edge_array.size == 0:
-            edge_array = edge_array.reshape(0, 2)
-        if edge_array.ndim != 2 or edge_array.shape[1] != 2:
-            raise GraphFormatError("edges must be (source, target) pairs")
+        edge_array = _edge_array(edges)
         if edge_array.size:
             bad = (edge_array < 0) | (edge_array >= n)
             if bad.any():
@@ -110,8 +110,8 @@ class CSRGraph:
 
     def apply_delta(
         self,
-        adds: Sequence[Tuple[int, int]],
-        removes: Sequence[Tuple[int, int]],
+        adds: EdgeList,
+        removes: EdgeList,
         n: int | None = None,
     ) -> "CSRGraph":
         """A new graph with ``adds`` inserted and ``removes`` deleted.
@@ -131,8 +131,8 @@ class CSRGraph:
         edge multiset (rows stay sorted; duplicate edges are preserved,
         and a remove drops exactly one occurrence).
         """
-        add_array = _coerce_delta(adds)
-        remove_array = _coerce_delta(removes)
+        add_array = _edge_array(adds)
+        remove_array = _edge_array(removes)
         if n is None:
             n_new = self.n
             if add_array.size:
@@ -375,14 +375,14 @@ def _build_csr_side(
     return indptr, indices
 
 
-def _coerce_delta(pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """Normalize an edit list to an (k, 2) int64 array."""
+def _edge_array(pairs: EdgeList) -> np.ndarray:
+    """Normalize an edge list to an (k, 2) int64 array (ndarrays pass as-is)."""
     array = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs),
                        dtype=np.int64)
     if array.size == 0:
         return array.reshape(0, 2)
     if array.ndim != 2 or array.shape[1] != 2:
-        raise GraphFormatError("delta edges must be (source, target) pairs")
+        raise GraphFormatError("edges must be (source, target) pairs")
     return array
 
 

@@ -200,7 +200,7 @@ def record_preprocess(
     gamma_seconds: float = 0.0,
     invert_seconds: float = 0.0,
 ) -> None:
-    """One full index build (Algorithm 4 + Algorithm 3 + inverted lists)."""
+    """One full index build (Algorithm 4 + Algorithm 3 + candidate graph H)."""
     registry = get_registry()
     registry.counter(*catalog.PREPROCESS_BUILDS).inc()
     registry.counter(*catalog.PREPROCESS_VERTICES).inc(vertices)
@@ -220,8 +220,9 @@ def record_index(index: "CandidateIndex") -> None:
     postings = registry.histogram(
         *catalog.INDEX_POSTINGS_LENGTH, buckets=DEFAULT_SIZE_BUCKETS
     )
-    for posting in index.inverted.values():
-        postings.observe(len(posting))
+    lengths = index.H.in_degrees
+    for length in lengths[lengths > 0].tolist():
+        postings.observe(length)
 
 
 def record_walk_bundle(walks: int, steps: int, meetings: int = 0) -> None:

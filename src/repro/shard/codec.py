@@ -1,62 +1,40 @@
 """Engine ⇄ flat-array codec for the shared-memory transport.
 
 ``engine_to_arrays`` flattens a preprocessed :class:`SimRankEngine`
-into a named dict of numpy arrays (graph CSR, packed candidate index,
+into a named dict of numpy arrays (graph CSR, candidate graph H's CSR,
 γ table, diagonal) plus a small picklable meta dict; ``engine_from_arrays``
-rebuilds a queryable engine over those arrays **without copying them** —
-the graph aliases the views directly and the index is a
-:class:`~repro.core.index.BufferBackedCandidateIndex`.  The meta dict
-mirrors the config payload of :meth:`CandidateIndex.save`, so the two
-serialization paths cannot drift apart silently (both go through
-:func:`config_to_dict`).
+rebuilds a queryable engine over those arrays **without copying them**
+— both graphs alias the views directly.  The meta dict carries the
+config as :meth:`SimRankConfig.to_dict`, the same payload
+:meth:`CandidateIndex.save` writes.  ``delta_to_arrays`` /
+``patch_engine_arrays`` ship one flush's changed rows instead of the
+whole engine; the patch goes through :meth:`CandidateIndex.with_rows`,
+the same path the in-process flush takes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from repro.core.config import SimRankConfig
 from repro.core.engine import SimRankEngine
 from repro.core.index import CandidateIndex
-from repro.errors import ShardError
+from repro.errors import GraphFormatError, ShardError, VertexError
 from repro.graph.csr import CSRGraph
 
 
 __all__ = [
-    "config_to_dict",
     "engine_to_arrays",
     "engine_from_arrays",
     "delta_to_arrays",
     "patch_engine_arrays",
-    "patch_index_buffers",
 ]
 
 _GRAPH_PREFIX = "graph."
 _INDEX_PREFIX = "index."
 _DELTA_PREFIX = "delta."
-
-
-def config_to_dict(config: SimRankConfig) -> Dict[str, Any]:
-    """The full constructor-kwargs form of a config (JSON/pickle safe)."""
-    return {
-        "c": config.c,
-        "T": config.T,
-        "r_pair": config.r_pair,
-        "r_screen": config.r_screen,
-        "r_alphabeta": config.r_alphabeta,
-        "r_gamma": config.r_gamma,
-        "index_walks": config.index_walks,
-        "index_checks": config.index_checks,
-        "k": config.k,
-        "theta": config.theta,
-        "d_max": config.d_max,
-        "candidate_rule": config.candidate_rule,
-        "fallback_ball_radius": config.fallback_ball_radius,
-        "screen_slack": config.screen_slack,
-        "kernel": config.kernel,
-    }
 
 
 def engine_to_arrays(
@@ -79,7 +57,7 @@ def engine_to_arrays(
     meta = {
         "n": engine.graph.n,
         "seed": int(seed),
-        "config": config_to_dict(engine.config),
+        "config": engine.config.to_dict(),
         "build_seconds": engine.index.build_seconds,
     }
     return arrays, meta
@@ -144,18 +122,12 @@ def delta_to_arrays(
     flat-array form on the other side of a pipe.
     """
     affected_array = np.asarray(list(affected), dtype=np.int64).reshape(-1)
-    signatures = engine.index.signatures
-    sig_rows = [signatures[int(u)] for u in affected_array]
-    sig_offsets = np.zeros(affected_array.size + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in sig_rows], out=sig_offsets[1:])
-    sig_flat = np.array(
-        [v for row in sig_rows for v in row], dtype=np.int64
-    )
-    gamma_rows = (
-        engine.index.gamma.values[affected_array]
-        if affected_array.size
-        else np.zeros((0, engine.index.gamma.values.shape[1]))
-    )
+    H = engine.index.H
+    rows = [H.out_neighbors(u) for u in affected_array.tolist()]
+    sig_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([row.size for row in rows], out=sig_offsets[1:])
+    sig_flat = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    gamma_rows = engine.index.gamma.values[affected_array]
     return {
         _DELTA_PREFIX + "adds": np.asarray(list(adds), dtype=np.int64).reshape(-1, 2),
         _DELTA_PREFIX + "removes": np.asarray(
@@ -203,53 +175,7 @@ def patch_engine_arrays(
             f"delta diagonal tail covers {diagonal_tail.shape[0]} grown "
             f"vertices but n goes {base_n} -> {new_n}"
         )
-    graph = base_engine.graph.apply_delta(
-        [(int(u), int(v)) for u, v in adds],
-        [(int(u), int(v)) for u, v in removes],
-        n=new_n,
-    )
-    arrays: Dict[str, np.ndarray] = {}
-    for key, array in graph.to_buffers().items():
-        arrays[_GRAPH_PREFIX + key] = array
-    index_buffers = patch_index_buffers(
-        base_engine.index.to_buffers(),
-        base_n=base_n,
-        new_n=new_n,
-        affected=affected,
-        sig_offsets=sig_offsets,
-        sig_flat=sig_flat,
-        gamma_rows=gamma_rows,
-    )
-    for key, array in index_buffers.items():
-        arrays[_INDEX_PREFIX + key] = array
-    arrays["diagonal"] = np.concatenate(
-        [np.asarray(base_engine.diagonal, dtype=np.float64), diagonal_tail]
-    )
-    return arrays
-
-
-def patch_index_buffers(
-    base: Dict[str, np.ndarray],
-    base_n: int,
-    new_n: int,
-    affected: np.ndarray,
-    sig_offsets: np.ndarray,
-    sig_flat: np.ndarray,
-    gamma_rows: np.ndarray,
-) -> Dict[str, np.ndarray]:
-    """Row-splice a packed index: replace ``affected`` rows, keep the rest.
-
-    Pure array surgery, no walk recomputation: signature rows are
-    slab-spliced (the :meth:`CSRGraph.apply_delta` technique applied to
-    the index payload), posting lists are patched per touched key from
-    the old-vs-new signature diff, and the γ table is row-assigned.
-    Raises :class:`ShardError` on any inconsistency — a patch that does
-    not line up with the resident base must fail loudly, never produce
-    a silently wrong index.
-    """
     affected = np.asarray(affected, dtype=np.int64).reshape(-1)
-    base_sig_offsets = base["signature_offsets"]
-    base_sig_flat = base["signatures"]
     if affected.size:
         if int(affected.min()) < 0 or int(affected.max()) >= new_n:
             raise ShardError(
@@ -263,107 +189,27 @@ def patch_index_buffers(
             f"grown vertices {grown[:5].tolist()}... missing from the "
             "affected set; their signature rows are unknown"
         )
-
-    # --- signatures: slab-splice replacement rows into the flat form
-    counts = np.zeros(new_n, dtype=np.int64)
-    counts[:base_n] = np.diff(base_sig_offsets)
-    counts[affected] = np.diff(sig_offsets)
-    out_sig_offsets = np.zeros(new_n + 1, dtype=np.int64)
-    np.cumsum(counts, out=out_sig_offsets[1:])
-    out_sig_flat = np.empty(int(out_sig_offsets[-1]), dtype=np.int64)
-    prev = 0  # next base row not yet copied
-    for i, row in enumerate(int(u) for u in affected):
-        slab_stop = min(row, base_n)
-        if slab_stop > prev:
-            out_sig_flat[
-                out_sig_offsets[prev]:out_sig_offsets[slab_stop]
-            ] = base_sig_flat[base_sig_offsets[prev]:base_sig_offsets[slab_stop]]
-        out_sig_flat[
-            out_sig_offsets[row]:out_sig_offsets[row + 1]
-        ] = sig_flat[sig_offsets[i]:sig_offsets[i + 1]]
-        prev = row + 1
-    if prev < base_n:
-        out_sig_flat[
-            out_sig_offsets[prev]:out_sig_offsets[base_n]
-        ] = base_sig_flat[base_sig_offsets[prev]:base_sig_offsets[base_n]]
-
-    # --- postings: per-key patch from the old-vs-new signature diff
-    base_keys = base["posting_keys"]
-    base_poffsets = base["posting_offsets"]
-    base_postings = base["postings"]
-    removals: Dict[int, List[int]] = {}
-    additions: Dict[int, List[int]] = {}
-    for i, row in enumerate(int(u) for u in affected):
-        old_keys = (
-            {int(w) for w in base_sig_flat[base_sig_offsets[row]:base_sig_offsets[row + 1]]}
-            if row < base_n
-            else set()
+    if sig_offsets.shape != (affected.size + 1,):
+        raise ShardError(
+            f"delta carries {sig_offsets.shape[0] - 1} signature rows for "
+            f"{affected.size} affected vertices"
         )
-        new_keys = {int(w) for w in sig_flat[sig_offsets[i]:sig_offsets[i + 1]]}
-        for key in old_keys - new_keys:
-            removals.setdefault(key, []).append(row)
-        for key in new_keys - old_keys:
-            additions.setdefault(key, []).append(row)
-    patched: Dict[int, List[int]] = {}
-    for key in sorted(set(removals) | set(additions)):
-        at = int(np.searchsorted(base_keys, key))
-        present = at < base_keys.size and int(base_keys[at]) == key
-        members = (
-            {int(u) for u in base_postings[base_poffsets[at]:base_poffsets[at + 1]]}
-            if present
-            else set()
+    try:
+        graph = base_engine.graph.apply_delta(adds, removes, n=new_n)
+        index = base_engine.index.with_rows(
+            affected.tolist(),
+            np.split(sig_flat, sig_offsets[1:-1]),
+            gamma_rows,
+            n=new_n,
         )
-        for u in removals.get(key, ()):
-            if u not in members:
-                raise ShardError(
-                    f"patch removes vertex {u} absent from posting list {key}"
-                )
-            members.discard(u)
-        members.update(additions.get(key, ()))
-        patched[key] = sorted(members)
-
-    key_parts: List[np.ndarray] = []
-    count_parts: List[np.ndarray] = []
-    posting_parts: List[np.ndarray] = []
-    prev = 0  # next base key index not yet copied
-    for key in sorted(patched):
-        at = int(np.searchsorted(base_keys, key))
-        if at > prev:  # untouched slab of keys before this one
-            key_parts.append(base_keys[prev:at])
-            count_parts.append(np.diff(base_poffsets[prev:at + 1]))
-            posting_parts.append(base_postings[base_poffsets[prev]:base_poffsets[at]])
-        members = patched[key]
-        if members:  # a key with no postings left is dropped entirely
-            key_parts.append(np.array([key], dtype=np.int64))
-            count_parts.append(np.array([len(members)], dtype=np.int64))
-            posting_parts.append(np.asarray(members, dtype=np.int64))
-        in_base = at < base_keys.size and int(base_keys[at]) == key
-        prev = at + 1 if in_base else at
-    if prev < base_keys.size:
-        key_parts.append(base_keys[prev:])
-        count_parts.append(np.diff(base_poffsets[prev:]))
-        posting_parts.append(base_postings[base_poffsets[prev]:])
-    empty_i = np.empty(0, dtype=np.int64)
-    out_keys = np.concatenate(key_parts) if key_parts else empty_i.copy()
-    out_counts = np.concatenate(count_parts) if count_parts else empty_i.copy()
-    out_poffsets = np.zeros(out_keys.size + 1, dtype=np.int64)
-    np.cumsum(out_counts, out=out_poffsets[1:])
-    out_postings = (
-        np.concatenate(posting_parts) if posting_parts else empty_i.copy()
+    except (GraphFormatError, VertexError, ValueError) as exc:
+        raise ShardError(f"delta does not apply to the resident epoch: {exc}") from exc
+    arrays: Dict[str, np.ndarray] = {}
+    for key, array in graph.to_buffers().items():
+        arrays[_GRAPH_PREFIX + key] = array
+    for key, array in index.to_buffers().items():
+        arrays[_INDEX_PREFIX + key] = array
+    arrays["diagonal"] = np.concatenate(
+        [np.asarray(base_engine.diagonal, dtype=np.float64), diagonal_tail]
     )
-
-    # --- γ table: row assignment into a fresh array
-    base_gamma = base["gamma"]
-    out_gamma = np.zeros((new_n, base_gamma.shape[1]), dtype=np.float64)
-    out_gamma[:base_n] = base_gamma
-    if affected.size:
-        out_gamma[affected] = gamma_rows
-
-    return {
-        "signature_offsets": out_sig_offsets,
-        "signatures": out_sig_flat,
-        "posting_keys": out_keys,
-        "posting_offsets": out_poffsets,
-        "postings": out_postings,
-        "gamma": out_gamma,
-    }
+    return arrays

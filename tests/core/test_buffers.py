@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.config import SimRankConfig
 from repro.core.engine import SimRankEngine
-from repro.core.index import BufferBackedCandidateIndex, CandidateIndex
+from repro.core.index import CandidateIndex
 from repro.core.walks import FlatSketch, WalkEngine
 from repro.errors import GraphFormatError, SerializationError
 from repro.graph.csr import CSRGraph
@@ -70,7 +70,6 @@ class TestIndexBuffers:
         index = indexed_engine.index
         buffers = index.to_buffers()
         rebuilt = CandidateIndex.from_buffers(index.config, index.n, buffers)
-        assert isinstance(rebuilt, BufferBackedCandidateIndex)
         for key, array in rebuilt.to_buffers().items():
             assert np.shares_memory(array, buffers[key]), key
         # The gamma table is exported live, not copied.
@@ -110,30 +109,10 @@ class TestIndexBuffers:
         rebuilt = CandidateIndex.from_buffers(
             index.config, index.n, index.to_buffers()
         )
-        with pytest.raises(TypeError):
-            rebuilt.replace_signature(0, [1, 2, 3])
-
-    def test_clone_materializes_mutable_copy(self, indexed_engine):
-        index = indexed_engine.index
-        rebuilt = CandidateIndex.from_buffers(
-            index.config, index.n, index.to_buffers()
-        )
-        clone = rebuilt.clone()
-        assert type(clone) is CandidateIndex
-        clone.replace_signature(0, list(index.signatures[0]))  # mutable again
-        np.testing.assert_array_equal(
-            np.asarray(clone.candidates(3)), np.asarray(rebuilt.candidates(3))
-        )
-
-    def test_lazy_legacy_views_match(self, indexed_engine):
-        index = indexed_engine.index
-        rebuilt = CandidateIndex.from_buffers(
-            index.config, index.n, index.to_buffers()
-        )
-        assert rebuilt.signatures == index.signatures
-        assert {k: sorted(v) for k, v in rebuilt.inverted.items()} == {
-            k: sorted(v) for k, v in index.inverted.items()
-        }
+        for array in rebuilt.to_buffers().values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert rebuilt.H == index.H
 
     def test_stats_and_nbytes_consistent(self, indexed_engine):
         index = indexed_engine.index
@@ -146,7 +125,7 @@ class TestIndexBuffers:
     def test_missing_array_is_serialization_error(self, indexed_engine):
         index = indexed_engine.index
         buffers = index.to_buffers()
-        del buffers["postings"]
+        del buffers["in_indices"]
         with pytest.raises(SerializationError):
             CandidateIndex.from_buffers(index.config, index.n, buffers)
 

@@ -47,7 +47,7 @@ class TestLifecycle:
         fresh = SimRankEngine(social_graph).load_index(path)
         assert fresh.is_preprocessed
         assert fresh.config == test_config
-        assert fresh.index.signatures == engine.index.signatures
+        assert fresh.index.H == engine.index.H
 
 
 class TestQueries:

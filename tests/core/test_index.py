@@ -111,7 +111,7 @@ class TestSerialization:
         index.save(path)
         loaded = CandidateIndex.load(path)
         assert loaded.n == index.n
-        assert loaded.signatures == index.signatures
+        assert loaded.H == index.H
         assert loaded.config == index.config
         np.testing.assert_array_equal(loaded.gamma.values, index.gamma.values)
 
@@ -208,6 +208,22 @@ class TestLoadValidation:
         gamma = np.load(path)["gamma"]
         self._rewrite(path, gamma=gamma[:-3])
         with pytest.raises(SerializationError, match="gamma"):
+            CandidateIndex.load(path)
+
+    def test_gamma_columns_disagree_with_config(self, saved):
+        _, path = saved
+        gamma = np.load(path)["gamma"]
+        assert self._meta(path)["config"]["T"] > 2
+        self._rewrite(path, gamma=gamma[:, :2])
+        with pytest.raises(SerializationError, match="gamma"):
+            CandidateIndex.load(path)
+
+    def test_signature_entry_out_of_range_detected(self, saved):
+        _, path = saved
+        flat = np.load(path)["signatures"].copy()
+        flat[0] = 10**6
+        self._rewrite(path, signatures=flat)
+        with pytest.raises(SerializationError, match="signature entry"):
             CandidateIndex.load(path)
 
     def test_non_object_header_detected(self, saved):

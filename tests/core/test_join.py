@@ -33,7 +33,7 @@ class TestCandidatePairs:
     def test_pairs_share_signature_vertex(self, join_setup):
         graph, config, index, _ = join_setup
         for u, v in list(_candidate_pairs(index))[:50]:
-            assert set(index.signatures[u]) & set(index.signatures[v])
+            assert set(index.H.out_neighbors(u)) & set(index.H.out_neighbors(v))
 
 
 class TestSimilarityJoin:

@@ -95,6 +95,8 @@ class TestWholeGraphViews:
         edges = social_graph.edge_array()
         rebuilt = CSRGraph.from_edges(social_graph.n, [tuple(e) for e in edges.tolist()])
         assert rebuilt == social_graph
+        # An (m, 2) int64 array is taken as-is.
+        assert CSRGraph.from_edges(social_graph.n, edges) == social_graph
 
     def test_reverse_swaps_directions(self):
         graph = CSRGraph.from_edges(3, [(0, 1), (1, 2)])

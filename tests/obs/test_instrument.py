@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -100,7 +101,7 @@ class TestPreprocessMetrics:
         assert registry.gauge("preprocess", "seconds").value > 0
         assert registry.gauge("index", "bytes").value == engine.index_nbytes()
         postings = registry.get("index", "postings_length")
-        assert postings.count == len(engine.index.inverted)
+        assert postings.count == np.count_nonzero(engine.index.H.in_degrees)
 
     def test_preprocess_spans_when_tracing(self):
         graph = preferential_attachment(60, out_degree=3, seed=3)

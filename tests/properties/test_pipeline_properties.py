@@ -36,15 +36,16 @@ class TestIndexInvariants:
     @given(graphs(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
     def test_signatures_and_inverted_lists_consistent(self, graph, seed):
-        index = build_index(graph, FAST, seed=seed)
-        for u in range(index.n):
-            assert u in index.signatures[u]
-            for w in index.signatures[u]:
-                assert u in index.inverted[w]
-        for w, postings in index.inverted.items():
+        H = build_index(graph, FAST, seed=seed).H
+        for u in range(H.n):
+            assert u in H.out_neighbors(u)
+            for w in H.out_neighbors(u).tolist():
+                assert u in H.in_neighbors(w)
+        for w in range(H.n):
+            postings = H.in_neighbors(w).tolist()
             assert postings == sorted(postings)
             for u in postings:
-                assert w in index.signatures[u]
+                assert w in H.out_neighbors(u)
 
     @given(graphs(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
@@ -56,20 +57,26 @@ class TestIndexInvariants:
 
     @given(graphs(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=30, deadline=None)
-    def test_replace_signature_keeps_consistency(self, graph, seed):
+    def test_with_rows_keeps_consistency(self, graph, seed):
         index = build_index(graph, FAST, seed=seed)
         rng = np.random.default_rng(seed)
-        for _ in range(3):
-            u = int(rng.integers(graph.n))
-            new_signature = sorted(
-                {u, int(rng.integers(graph.n)), int(rng.integers(graph.n))}
-            )
-            index.replace_signature(u, new_signature)
-        for u in range(index.n):
-            for w in index.signatures[u]:
-                assert u in index.inverted[w]
-        for w, postings in index.inverted.items():
-            assert postings == sorted(set(postings))
+        rows = sorted({int(rng.integers(graph.n)) for _ in range(3)})
+        replaced = {
+            u: sorted({u, int(rng.integers(graph.n)), int(rng.integers(graph.n))})
+            for u in rows
+        }
+        patched = index.with_rows(
+            rows, [replaced[u] for u in rows], index.gamma.values[rows]
+        )
+        # Bit-identical to building H from scratch over the new rows.
+        rebuilt = CSRGraph.from_edges(graph.n, [
+            (u, w)
+            for u in range(graph.n)
+            for w in replaced.get(u, index.H.out_neighbors(u).tolist())
+        ])
+        for key, array in rebuilt.to_buffers().items():
+            np.testing.assert_array_equal(patched.H.to_buffers()[key], array)
+        np.testing.assert_array_equal(patched.gamma.values, index.gamma.values)
 
     @given(graphs(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)
@@ -84,7 +91,7 @@ class TestIndexInvariants:
             path = Path(tmp) / "index.npz"
             index.save(path)
             loaded = CandidateIndex.load(path)
-        assert loaded.signatures == index.signatures
+        assert loaded.H == index.H
         np.testing.assert_array_equal(loaded.gamma.values, index.gamma.values)
 
 

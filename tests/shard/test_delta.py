@@ -24,7 +24,6 @@ from repro.shard.codec import (
     engine_from_arrays,
     engine_to_arrays,
     patch_engine_arrays,
-    patch_index_buffers,
 )
 from repro.shard.pool import ShardPool
 
@@ -118,25 +117,22 @@ class TestPatchCodec:
         with pytest.raises(ShardError):
             patch_engine_arrays(base, bad, meta)
 
-    def test_grown_vertex_missing_from_affected_raises(self, shard_config):
-        base_buffers = {
-            "signature_offsets": np.array([0, 1], dtype=np.int64),
-            "signatures": np.array([0], dtype=np.int64),
-            "posting_keys": np.array([0], dtype=np.int64),
-            "posting_offsets": np.array([0, 1], dtype=np.int64),
-            "postings": np.array([0], dtype=np.int64),
-            "gamma": np.zeros((1, shard_config.T)),
-        }
+    def test_grown_vertex_missing_from_affected_raises(self, flushed_delta):
+        base, patched, stats = flushed_delta
+        delta, meta, _ = self._patch(base, patched, stats)
+        bad = dict(delta)
+        # The flush grew vertices 120..122; drop the last from `affected`.
+        bad["delta.affected"] = bad["delta.affected"][:-1].copy()
         with pytest.raises(ShardError, match="grown"):
-            patch_index_buffers(
-                base_buffers,
-                base_n=1,
-                new_n=3,  # vertices 1 and 2 are new but not in `affected`
-                affected=np.array([1], dtype=np.int64),
-                sig_offsets=np.array([0, 0], dtype=np.int64),
-                sig_flat=np.zeros(0, dtype=np.int64),
-                gamma_rows=np.zeros((1, shard_config.T)),
-            )
+            patch_engine_arrays(base, bad, meta)
+
+    def test_signature_rows_must_match_affected(self, flushed_delta):
+        base, patched, stats = flushed_delta
+        delta, meta, _ = self._patch(base, patched, stats)
+        bad = dict(delta)
+        bad["delta.sig_offsets"] = bad["delta.sig_offsets"][:-1].copy()
+        with pytest.raises(ShardError, match="signature rows"):
+            patch_engine_arrays(base, bad, meta)
 
 
 class TestPoolPatchProtocol:

@@ -6,12 +6,14 @@ single-pair estimate (Algorithm 1, claimed size-independent), the
 deterministic O(Tm) series, the Fogaras-Racz coupled query, and one
 exact all-pairs iteration (the O(n^2)-memory competitor).
 
-The ``TestKernelComparison`` block times the array-native kernels
-(``kernel="array"``) against the dict-based reference path on the
-sanity-size graph and writes a machine-readable ``BENCH_kernels.json``
-sidecar at the repo root recording the speedups.  CI runs it in quick
-mode (``REPRO_BENCH_QUICK=1``) and fails when the array kernels are
-slower than the reference path.
+The ``TestKernelComparison`` block times the array-native kernels of
+``src/`` against the dict-based equivalence oracle of
+``tests/kernel_oracle.py`` ("reference") on the sanity-size graph and
+writes a machine-readable ``BENCH_kernels.json`` sidecar at the repo
+root recording the speedups.  CI runs it in quick mode
+(``REPRO_BENCH_QUICK=1``) and fails when the array kernels are slower
+than the oracle.  Run it with ``python -m pytest`` from the repo root,
+which puts ``tests`` on the import path.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from repro.core.exact import exact_simrank
 from repro.core.index import build_signatures
 from repro.core.linear import resolve_diagonal, single_pair_series, single_source_series
 from repro.core.montecarlo import SingleSourceEstimator, single_pair_simrank
-from repro.core.walks import FlatSketch, PositionSketch, WalkEngine, segment_collisions
+from repro.core.walks import FlatSketch, WalkEngine, segment_collisions
 from repro.utils.bench import write_sidecar
+from tests.kernel_oracle import PositionSketch, reference_scores, reference_signatures
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +152,7 @@ def test_single_pair_with_ci(benchmark, web_graph_medium, bench_config):
 
 
 # ---------------------------------------------------------------------------
-# Array kernels vs the dict-based reference path (PR 4's tentpole).
+# Array kernels vs the dict-based oracle in tests/kernel_oracle.py.
 # ---------------------------------------------------------------------------
 
 SIDECAR_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
@@ -166,7 +169,7 @@ def _timed(fn, repeats: int) -> float:
 
 
 class TestKernelComparison:
-    """Reference-vs-array timings + the BENCH_kernels.json sidecar.
+    """Oracle-vs-array timings + the BENCH_kernels.json sidecar.
 
     Runs at the acceptance point of the kernel rewrite: R=100, T=10 on
     the ~10^4-edge sanity graph.  ``REPRO_BENCH_QUICK=1`` shrinks the
@@ -235,41 +238,30 @@ class TestKernelComparison:
         }
         np.testing.assert_allclose(array_collisions(), dict_collisions(), atol=1e-12)
 
-        # 3. Fused batch estimate vs the per-candidate reference loop.
-        array_estimator = SingleSourceEstimator(
-            graph, u, config=config.with_(kernel="array"), seed=0
-        )
-        reference_estimator = SingleSourceEstimator(
-            graph, u, config=config.with_(kernel="reference"), seed=0
-        )
+        # 3. Fused batch estimate vs the oracle's per-candidate loop.
+        array_estimator = SingleSourceEstimator(graph, u, config=config, seed=0)
+        oracle_scores = reference_scores(graph, u, config, seed=0)
         timings["batch_estimate"] = {
             "array": _timed(
                 lambda: array_estimator.estimate_batch(candidates, R=config.r_pair),
                 repeats,
             ),
-            "reference": _timed(
-                lambda: reference_estimator.estimate_batch(candidates, R=config.r_pair),
-                repeats,
-            ),
+            "reference": _timed(lambda: oracle_scores(candidates, config.r_pair), repeats),
         }
         np.testing.assert_allclose(
             array_estimator.estimate_batch(candidates, R=config.r_pair),
-            reference_estimator.estimate_batch(candidates, R=config.r_pair),
+            oracle_scores(candidates, config.r_pair),
             atol=1e-12,
         )
 
-        # 4. Batched Algorithm 4 vs per-vertex signature walks.
+        # 4. Batched Algorithm 4 vs the oracle's per-vertex signature walks.
         timings["signature_build"] = {
             "array": _timed(
-                lambda: build_signatures(
-                    graph, config.with_(kernel="array"), seed=0, vertices=sig_vertices
-                ),
+                lambda: build_signatures(graph, config, seed=0, vertices=sig_vertices),
                 repeats,
             ),
             "reference": _timed(
-                lambda: build_signatures(
-                    graph, config.with_(kernel="reference"), seed=0, vertices=sig_vertices
-                ),
+                lambda: reference_signatures(graph, config, seed=0, vertices=sig_vertices),
                 repeats,
             ),
         }
@@ -291,7 +283,7 @@ class TestKernelComparison:
         }
         write_sidecar(SIDECAR_PATH, "kernels", sidecar)
 
-        # Regression gate: the array path must never lose to reference,
+        # Regression gate: the array path must never lose to the oracle,
         # and the fused estimator carries the PR's >= 5x acceptance bar.
         assert speedups["collision"] >= 1.0
         assert speedups["batch_estimate"] >= (1.0 if quick else 5.0)
@@ -299,7 +291,7 @@ class TestKernelComparison:
 
 
 def test_batch_estimate_array(benchmark, web_graph_medium, bench_config):
-    config = bench_config.with_(T=10, kernel="array")
+    config = bench_config.with_(T=10)
     estimator = SingleSourceEstimator(web_graph_medium, 10, config=config, seed=0)
     candidates = list(range(11, 59))
     benchmark.pedantic(
@@ -310,11 +302,11 @@ def test_batch_estimate_array(benchmark, web_graph_medium, bench_config):
 
 
 def test_batch_estimate_reference(benchmark, web_graph_medium, bench_config):
-    config = bench_config.with_(T=10, kernel="reference")
-    estimator = SingleSourceEstimator(web_graph_medium, 10, config=config, seed=0)
+    config = bench_config.with_(T=10)
+    scores = reference_scores(web_graph_medium, 10, config, seed=0)
     candidates = list(range(11, 59))
     benchmark.pedantic(
-        lambda: estimator.estimate_batch(candidates, R=config.r_pair),
+        lambda: scores(candidates, config.r_pair),
         rounds=1,
         iterations=1,
     )

@@ -10,10 +10,10 @@ composition — rests on two runtime facts the type system cannot state:
 2. **positional uniform consumption** — every generator materialised
    from a *derived* child seed (:func:`repro.utils.rng.derive_seed`)
    must consume the same draw sequence wherever it is materialised.
-   If the array kernel and the reference kernel (or two call sites that
-   accidentally alias a child seed) disagree about a child stream's
-   draw prefix, their results are not comparable and the bit-identical
-   guarantees are fiction.
+   If the fused array kernel and the tests' per-bundle oracle (or two
+   call sites that accidentally alias a child seed) disagree about a
+   child stream's draw prefix, their results are not comparable and the
+   bit-identical guarantees are fiction.
 
 When sanitizing, :func:`repro.utils.rng.ensure_rng` returns a
 :class:`ShadowGenerator` — a real ``numpy.random.Generator`` subclass
@@ -95,9 +95,9 @@ class RngShadowRegistry:
       on legal reuse: a full rebuild after graph edits deliberately
       replays the same derived seeds against a *different* graph, so
       draw sizes differ by design.  Inside a scope — e.g. scoring the
-      same candidates through both kernels, or the same batch in two
-      compositions — divergence is exactly the stream-aliasing bug the
-      batch-independence guarantee forbids.
+      same candidates through the fused kernel and the oracle, or the
+      same batch in two compositions — divergence is exactly the
+      stream-aliasing bug the batch-independence guarantee forbids.
     """
 
     def __init__(self) -> None:

@@ -20,13 +20,10 @@ parameter             default  role in the paper
 ``k``                 20       answer size of Problem 1
 ``theta``             0.01     pruning threshold θ (§8)
 ``d_max``             T        distance horizon of the L1 bound (§6.1)
-``kernel``            array    sketch/collision implementation: "array"
-                               (FlatSketch + fused batch kernels) or
-                               "reference" (the original dict sketches)
 ====================  =======  ==========================================
 
-See ``docs/performance.md`` for the kernel semantics and the
-determinism contract of the batched estimators.
+See ``docs/performance.md`` for the sketch kernels and the determinism
+contract of the batched estimators.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ class SimRankConfig:
     candidate_rule: str = "pseudocode"
     fallback_ball_radius: int = 2
     screen_slack: float = 0.3
-    kernel: str = "array"
 
     def __post_init__(self) -> None:
         check_fraction("c", self.c)
@@ -84,10 +80,6 @@ class SimRankConfig:
         if not 0.0 <= self.screen_slack <= 1.0:
             raise ValueError(
                 f"screen_slack must be in [0, 1], got {self.screen_slack}"
-            )
-        if self.kernel not in ("array", "reference"):
-            raise ValueError(
-                f"kernel must be 'array' or 'reference', got {self.kernel!r}"
             )
 
     @property

@@ -19,7 +19,9 @@ candidates when their signature sets intersect — two hops u → w ← v,
 so candidate enumeration is a union of short in-rows.  Total index
 space is O(nP) plus the O(nT) γ table, the paper's "small space" claim.
 H's arrays are read-only; a changed index is a new one
-(:meth:`CandidateIndex.with_rows`), never a patched one.
+(:meth:`CandidateIndex.with_rows`), never a patched one.  Algorithm 4
+runs as one fused walk matrix per block of vertices; the tests keep a
+per-vertex builder as its equivalence oracle.
 """
 
 from __future__ import annotations
@@ -229,7 +231,11 @@ class CandidateIndex:
                     f"{meta.get('version')!r} (this build reads version "
                     f"{INDEX_FORMAT_VERSION})"
                 )
-            config = SimRankConfig(**meta["config"])
+            # Older headers carry the retired ``kernel`` field; both of
+            # its values built identical indexes, so it is dropped.
+            fields = dict(meta["config"])
+            fields.pop("kernel", None)
+            config = SimRankConfig(**fields)
             offsets = payload["signature_offsets"]
             flat = payload["signatures"]
             n = int(meta["n"])
@@ -383,23 +389,15 @@ def build_signatures(
     so a vertex's signature is a deterministic function of ``(seed, u)``
     and independent of which other vertices are (re)built alongside it —
     incremental rebuilds reproduce exactly what a full build produces.
-    Under ``config.kernel == "array"`` whole blocks of vertices run as
-    one fused walk matrix; the ``"reference"`` kernel walks vertices one
-    by one and yields identical signatures (positionally consumed
-    per-vertex uniform blocks — see ``docs/performance.md``).
+    Whole blocks of vertices run as one fused walk matrix; the uniform
+    blocks are consumed positionally, so each vertex's walks match its
+    own seeded bundle (see ``docs/performance.md``).
     """
     targets = [int(u) for u in (range(graph.n) if vertices is None else vertices)]
     base_seed = seed if (seed is None or isinstance(seed, int)) else derive_seed(seed)
     engine = WalkEngine(graph)
     P, Q, T = config.index_walks, config.index_checks, config.T
     width = P * (1 + Q)
-
-    if config.kernel != "array":
-        out: List[List[int]] = []
-        for u in targets:
-            bundle = engine.walk_matrix_seeded(u, width, T, derive_seed(base_seed, 29, u))
-            out.append(_signatures_from_block(bundle, [u], config)[0])
-        return out
 
     def vertex_uniforms(u: int) -> np.ndarray:
         return ensure_rng(derive_seed(base_seed, 29, u)).random((T - 1, width))

@@ -15,7 +15,9 @@ Pipeline (mirroring the top-k query phase, §7):
 2. **L2 pruning** — the γ-product bound (Prop. 6) discards pairs whose
    bound is below θ (vectorised per posting list);
 3. **verification** — surviving pairs are scored with Algorithm 1,
-   adaptively (cheap screen, full refine) like §7.2.
+   adaptively (cheap screen, full refine) like §7.2.  Each vertex's
+   bundle is sketched once per budget, and a pair's score is one
+   :meth:`~repro.core.walks.FlatSketch.series` call.
 
 Output is exact up to Monte-Carlo noise on the verify step, the same
 guarantee as the paper's top-k search.
@@ -32,7 +34,7 @@ import numpy as np
 from repro.core.config import SimRankConfig
 from repro.core.index import CandidateIndex
 from repro.core.linear import DiagonalLike, resolve_diagonal
-from repro.core.walks import PositionSketch, WalkEngine
+from repro.core.walks import FlatSketch, WalkEngine
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, derive_seed, ensure_rng
@@ -122,23 +124,19 @@ def similarity_join(
     # bundle is simulated once per budget level and shared across all
     # its surviving pairs.
     engine = WalkEngine(graph, ensure_rng(derive_seed(seed, 33)))
-    sketch_cache: Dict[Tuple[int, int], PositionSketch] = {}
+    sketch_cache: Dict[Tuple[int, int], FlatSketch] = {}
 
-    def sketch(u: int, budget: int) -> PositionSketch:
+    def sketch(u: int, budget: int) -> FlatSketch:
         key = (u, budget)
         cached = sketch_cache.get(key)
         if cached is None:
-            cached = PositionSketch(engine.walk_matrix(u, budget, config.T))
+            cached = FlatSketch(engine.walk_matrix(u, budget, config.T))
             sketch_cache[key] = cached
         return cached
 
     def estimate(u: int, v: int, budget: int) -> float:
-        a, b = sketch(u, budget), sketch(v, budget)
-        total, weight = 0.0, 1.0
-        for t in range(config.T):
-            total += weight * a.collision_value(b, t, d_vec)
-            weight *= config.c
-        return total
+        value, _ = sketch(u, budget).series(sketch(v, budget), config.c, d_vec)
+        return value
 
     result = JoinResult(theta=theta, stats=stats)
     for u, v in survivors:

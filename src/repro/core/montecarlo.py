@@ -8,7 +8,9 @@ occupation-count collision sum of eq. (14),
 
 where α_w, β_w count how many u-walks / v-walks sit at w after t steps.
 The cost is O(T R) per pair — independent of n and m, which is the crux
-of the paper's scalability argument.
+of the paper's scalability argument.  Pairwise estimates sum the series
+with :meth:`~repro.core.walks.FlatSketch.series`; batches of candidates
+use the fused kernel of :meth:`SingleSourceEstimator.estimate_batch`.
 
 Concentration: Proposition 3 / Corollary 1 give
 ``R = 2 (1-c)^2 log(4 n T / δ) / ε^2`` for ε-accuracy with probability
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass as _dataclass
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, Type, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,12 +29,7 @@ from repro.errors import ConfigError, VertexError
 from repro.graph.csr import CSRGraph
 from repro.core.config import SimRankConfig
 from repro.core.linear import resolve_diagonal, DiagonalLike
-from repro.core.walks import (
-    FlatSketch,
-    PositionSketch,
-    WalkEngine,
-    segment_collisions,
-)
+from repro.core.walks import FlatSketch, WalkEngine, segment_collisions
 from repro.obs import instrument as obs
 from repro.utils.rng import SeedLike, derive_seed, ensure_rng
 
@@ -45,31 +42,6 @@ __all__ = [
     "single_pair_with_ci",
     "single_source_simrank",
 ]
-
-
-class Sketch(Protocol):
-    """What the series evaluator needs from a walk sketch.
-
-    Satisfied by both :class:`~repro.core.walks.FlatSketch` (the
-    ``kernel="array"`` implementation) and
-    :class:`~repro.core.walks.PositionSketch` (``kernel="reference"``).
-    The two sides of one collision must be the *same* concrete type —
-    the config's ``kernel`` field picks it once per estimator.
-    """
-
-    T: int
-    R: int
-
-    def collision_value(self, other: Any, t: int, diagonal: np.ndarray) -> float:
-        ...
-
-
-SketchClass = Union[Type[FlatSketch], Type[PositionSketch]]
-
-
-def sketch_class(config: SimRankConfig) -> SketchClass:
-    """The sketch implementation selected by ``config.kernel``."""
-    return FlatSketch if config.kernel == "array" else PositionSketch
 
 
 def required_samples(
@@ -117,37 +89,14 @@ def single_pair_simrank(
     samples = R if R is not None else config.r_pair
     d = resolve_diagonal(graph.n, config.c, diagonal)
     engine = WalkEngine(graph, seed)
-    sketch_cls = sketch_class(config)
-    sketch_u: Sketch = sketch_cls(engine.walk_matrix(u, samples, config.T))
-    sketch_v: Sketch = sketch_cls(engine.walk_matrix(v, samples, config.T))
+    sketch_u = FlatSketch(engine.walk_matrix(u, samples, config.T))
+    sketch_v = FlatSketch(engine.walk_matrix(v, samples, config.T))
+    value, meetings = sketch_u.series(sketch_v, config.c, d)
     if obs.OBS.enabled:
-        terms: List[float] = []
-        value = _series_from_sketches(sketch_u, sketch_v, config.c, d, terms_out=terms)
         obs.record_walk_bundle(
-            walks=2 * samples,
-            steps=2 * samples * config.T,
-            meetings=sum(1 for term in terms if term > 0.0),
+            walks=2 * samples, steps=2 * samples * config.T, meetings=meetings
         )
-        return value
-    return _series_from_sketches(sketch_u, sketch_v, config.c, d)
-
-
-def _series_from_sketches(
-    sketch_u: Sketch,
-    sketch_v: Sketch,
-    c: float,
-    diagonal: np.ndarray,
-    terms_out: Optional[List[float]] = None,
-) -> float:
-    total = 0.0
-    weight = 1.0
-    for t in range(min(sketch_u.T, sketch_v.T)):
-        term = weight * sketch_u.collision_value(sketch_v, t, diagonal)
-        if terms_out is not None:
-            terms_out.append(term)
-        total += term
-        weight *= c
-    return total
+    return value
 
 
 class SingleSourceEstimator:
@@ -167,12 +116,9 @@ class SingleSourceEstimator:
     - :meth:`estimate_batch` — all candidates at once.  Each candidate's
       uniforms come from a *derived* seed (``derive_seed(seed, v, R)``),
       so its score is a deterministic function of ``(seed, v, R)`` and
-      therefore independent of batch composition and order.  With
-      ``config.kernel == "array"`` the whole batch steps as one fused
-      ``(T, B·R)`` matrix and reduces against the u-sketch with segment
-      sums; the ``"reference"`` kernel walks the same derived-seed
-      bundles one by one through dict sketches and produces scores equal
-      to within float rounding (see ``docs/performance.md``).
+      therefore independent of batch composition and order.  The whole
+      batch steps as one fused ``(T, B·R)`` matrix and reduces against
+      the u-sketch with segment sums (see ``docs/performance.md``).
     """
 
     def __init__(
@@ -182,7 +128,7 @@ class SingleSourceEstimator:
         config: Optional[SimRankConfig] = None,
         seed: SeedLike = None,
         diagonal: DiagonalLike = None,
-        sketch_u: Optional[Sketch] = None,
+        sketch_u: Optional[FlatSketch] = None,
     ) -> None:
         """``sketch_u`` is the :attr:`sketch_u` of an estimator built
         from the same ``seed``, when one exists (a query plan carries
@@ -196,11 +142,10 @@ class SingleSourceEstimator:
             raise VertexError(u, graph.n)
         self.u = int(u)
         self.diagonal = resolve_diagonal(graph.n, self.config.c, diagonal)
-        self._sketch_cls = sketch_class(self.config)
         self.engine = WalkEngine(graph, ensure_rng(seed))
         self.walks_simulated = 0
         if sketch_u is None:
-            sketch_u = self._sketch_cls(
+            sketch_u = FlatSketch(
                 self.engine.walk_matrix(self.u, self.config.r_pair, self.config.T)
             )
             self.walks_simulated = self.config.r_pair
@@ -208,7 +153,7 @@ class SingleSourceEstimator:
                 obs.record_walk_bundle(
                     walks=self.config.r_pair, steps=self.config.r_pair * self.config.T
                 )
-        self.sketch_u: Sketch = sketch_u
+        self.sketch_u = sketch_u
         # Canonical int root for per-candidate derived seeds.  Resolved
         # *after* the u-bundle so a Generator seed feeds the u-walks the
         # same draws as before this field existed.
@@ -223,22 +168,14 @@ class SingleSourceEstimator:
         if v == self.u:
             return 1.0
         samples = R if R is not None else self.config.r_pair
-        sketch_v: Sketch = self._sketch_cls(
-            self.engine.walk_matrix(v, samples, self.config.T)
-        )
+        sketch_v = FlatSketch(self.engine.walk_matrix(v, samples, self.config.T))
         self.walks_simulated += samples
+        value, meetings = self.sketch_u.series(sketch_v, self.config.c, self.diagonal)
         if obs.OBS.enabled:
-            terms: List[float] = []
-            value = _series_from_sketches(
-                self.sketch_u, sketch_v, self.config.c, self.diagonal, terms_out=terms
-            )
             obs.record_walk_bundle(
-                walks=samples,
-                steps=samples * self.config.T,
-                meetings=sum(1 for term in terms if term > 0.0),
+                walks=samples, steps=samples * self.config.T, meetings=meetings
             )
-            return value
-        return _series_from_sketches(self.sketch_u, sketch_v, self.config.c, self.diagonal)
+        return value
 
     def estimate_batch(
         self, candidates: Sequence[int], R: Optional[int] = None
@@ -247,9 +184,9 @@ class SingleSourceEstimator:
 
         Every candidate gets its own R-walk bundle seeded by
         ``derive_seed(seed, v, R)``; self-candidates score 1.0 without
-        simulation.  Under ``kernel="array"`` the bundles run fused (one
-        position row per step for the whole batch) — the vectorised pass
-        behind Algorithm 5's screen and refine phases.
+        simulation.  The bundles run fused (one position row per step for
+        the whole batch) — the vectorised pass behind Algorithm 5's screen
+        and refine phases.
         """
         samples = R if R is not None else self.config.r_pair
         cand = np.asarray([int(v) for v in candidates], dtype=np.int64)
@@ -261,10 +198,7 @@ class SingleSourceEstimator:
         if others_idx.size == 0:
             return scores
         others = cand[others_idx]
-        if self.config.kernel == "array":
-            values, meetings = self._batch_array(others, samples)
-        else:
-            values, meetings = self._batch_reference(others, samples)
+        values, meetings = self._batch_array(others, samples)
         scores[others_idx] = values
         self.walks_simulated += int(others.size) * samples
         if obs.OBS.enabled:
@@ -295,7 +229,6 @@ class SingleSourceEstimator:
         T, c = self.config.T, self.config.c
         B = int(others.size)
         sketch_u = self.sketch_u
-        assert isinstance(sketch_u, FlatSketch)
         uniforms = np.concatenate(
             [self._candidate_uniforms(int(v), samples) for v in others], axis=1
         ) if T > 1 else np.empty((0, B * samples))
@@ -316,24 +249,6 @@ class SingleSourceEstimator:
             if t + 1 < T:
                 positions = self.engine.step_given(positions, uniforms[t])
         return totals, meetings
-
-    def _batch_reference(
-        self, others: np.ndarray, samples: int
-    ) -> Tuple[np.ndarray, int]:
-        """Reference kernel: the same derived-seed bundles, one at a time."""
-        values = np.empty(others.size)
-        meetings = 0
-        for i, v in enumerate(others):
-            child = derive_seed(self._batch_seed, int(v), samples)
-            sketch_v: Sketch = self._sketch_cls(
-                self.engine.walk_matrix_seeded(int(v), samples, self.config.T, child)
-            )
-            terms: List[float] = []
-            values[i] = _series_from_sketches(
-                self.sketch_u, sketch_v, self.config.c, self.diagonal, terms_out=terms
-            )
-            meetings += sum(1 for term in terms if term > 0.0)
-        return values, meetings
 
     def estimate_many(
         self, candidates: Sequence[int], R: Optional[int] = None

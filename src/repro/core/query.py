@@ -61,7 +61,8 @@ from repro.core.bounds import compute_alpha_beta, trivial_bound
 from repro.core.config import SimRankConfig
 from repro.core.index import CandidateIndex
 from repro.core.linear import DiagonalLike
-from repro.core.montecarlo import SingleSourceEstimator, Sketch
+from repro.core.montecarlo import SingleSourceEstimator
+from repro.core.walks import FlatSketch
 from repro.obs import instrument as obs
 from repro.utils.rng import SeedLike, derive_seed
 
@@ -142,7 +143,7 @@ class QueryPlan:
     bounds: np.ndarray
     beta: Optional[np.ndarray]
     score_seed: Optional[int]
-    sketch_u: Optional[Sketch]
+    sketch_u: Optional[FlatSketch]
 
     def __len__(self) -> int:
         return int(self.candidates.size)

@@ -10,12 +10,12 @@ primitive, vectorised with numpy over whole walk bundles:
 - :class:`WalkEngine` steps arbitrary position arrays, so Algorithm 1
   (pairs of bundles), Algorithm 2/3 (single bundles), and Algorithm 4
   (index walks) all share one code path;
-- :class:`FlatSketch` is the array-native per-step occupation-count view
-  of a bundle — sorted vertex ids and counts in contiguous arrays, the
-  object both sides of eq. (14) reduce to on the hot paths;
-- :class:`PositionSketch` is the original dict-based sketch, retained as
-  the ``kernel="reference"`` implementation so the array kernels stay
-  equivalence-testable forever (see ``docs/performance.md``).
+- :class:`FlatSketch` is the per-step occupation-count view of a
+  bundle — sorted vertex ids and counts in contiguous arrays, the object
+  both sides of eq. (14) reduce to; :meth:`FlatSketch.series` is the one
+  evaluation of eq. (14)'s T-term series over two sketches.  The tests
+  keep a dict-based sketch as the equivalence oracle of these kernels
+  (see ``docs/performance.md``).
 
 **Seeded bundles.**  :meth:`WalkEngine.walk_matrix` consumes the
 engine's shared stream and draws one uniform per *alive, movable* walk
@@ -44,7 +44,6 @@ from repro.utils.rng import SeedLike, ensure_rng
 __all__ = [
     "DEAD",
     "WalkEngine",
-    "PositionSketch",
     "FlatSketch",
     "sketch_from_walks",
     "run_length_encode",
@@ -209,6 +208,20 @@ def run_length_encode(sorted_values: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     return sorted_values[starts], counts
 
 
+#: Bit position of the step tag in a :attr:`FlatSketch.keys` entry.
+_STEP_SHIFT = 32
+_VERTEX_MASK = (1 << _STEP_SHIFT) - 1
+
+
+def _step_keys(offsets: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """``(t << 32) | vertex`` for every sketch entry, t its step.
+
+    Vertex ids are below 2^32, so the step tag never overlaps them.
+    """
+    steps = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
+    return (steps << _STEP_SHIFT) | vertices
+
+
 class FlatSketch:
     """Array-native per-step occupation counts of one walk bundle.
 
@@ -217,12 +230,14 @@ class FlatSketch:
     occupation counts (float64) — built with one ``np.sort`` plus
     run-length encode per row.  Dividing counts by R gives the empirical
     estimate of ``P^t e_u`` used on both sides of eq. (14); collision
-    values are computed by a ``searchsorted`` merge of the two sorted
-    id arrays instead of dict probing (the ``kernel="reference"``
-    :class:`PositionSketch` equivalent).
+    values are computed by a ``searchsorted`` merge of two sorted id
+    arrays.  ``keys`` tags every entry with its step,
+    ``(t << 32) | vertex``; rows are sorted, so the keys are sorted
+    across the whole sketch and :meth:`series` matches all T steps in
+    one merge.
     """
 
-    __slots__ = ("T", "R", "vertices", "counts", "offsets")
+    __slots__ = ("T", "R", "vertices", "counts", "offsets", "keys")
 
     def __init__(self, walk_matrix: np.ndarray, R: Optional[int] = None) -> None:  # hot-path
         walk_matrix = np.asarray(walk_matrix, dtype=np.int64)
@@ -244,6 +259,7 @@ class FlatSketch:
         self.counts = (
             np.concatenate(count_rows) if count_rows else np.empty(0, dtype=np.float64)
         )
+        self.keys = _step_keys(self.offsets, self.vertices)
 
     def to_buffers(self) -> Dict[str, np.ndarray]:
         """The three backing arrays, by reference (no copies).
@@ -285,6 +301,7 @@ class FlatSketch:
         sketch.vertices = vertices
         sketch.counts = counts
         sketch.offsets = offsets
+        sketch.keys = _step_keys(offsets, vertices)
         return sketch
 
     def row(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -318,62 +335,37 @@ class FlatSketch:
         total = float((diagonal[hits] * mine_c[matched] * other_c[loc[matched]]).sum())
         return total / (self.R * other.R)
 
+    def series(
+        self, other: "FlatSketch", c: float, diagonal: np.ndarray
+    ) -> Tuple[float, int]:
+        """Eq. (14)'s series ``Σ_t c^t (P^t e_u)^T D (P^t e_v)`` over both sketches.
+
+        One ``searchsorted`` of the smaller key array into the larger
+        matches every step at once; one ``bincount`` splits the matched
+        mass into per-step terms.  Returns the sum of the
+        ``min(T, other.T)`` terms and the number of them that are
+        positive (the steps at which the two bundles met).
+        """
+        mine, theirs = (self, other) if self.keys.size <= other.keys.size else (other, self)
+        if mine.keys.size == 0:
+            return 0.0, 0
+        loc = np.minimum(np.searchsorted(theirs.keys, mine.keys), theirs.keys.size - 1)
+        matched = theirs.keys[loc] == mine.keys
+        if not matched.any():
+            return 0.0, 0
+        hits = mine.keys[matched]
+        mass = diagonal[hits & _VERTEX_MASK] * mine.counts[matched] * theirs.counts[loc[matched]]
+        steps = min(self.T, other.T)
+        terms = np.bincount(hits >> _STEP_SHIFT, weights=mass, minlength=steps)
+        terms *= c ** np.arange(steps) / (self.R * other.R)
+        return float(terms.sum()), int(np.count_nonzero(terms > 0.0))
+
     def self_collision_value(self, t: int, diagonal: np.ndarray) -> float:
         """Estimate of ``||sqrt(D) P^t e_u||^2`` from one bundle (Algorithm 3)."""
         vertices, counts = self.row(t)
         if vertices.size == 0:
             return 0.0
         return float((diagonal[vertices] * (counts / self.R) ** 2).sum())
-
-
-class PositionSketch:
-    """Dict-based per-step occupation counts (the ``kernel="reference"`` path).
-
-    For a bundle of R walks from u, ``sketch.counts[t]`` maps vertex w to
-    ``#{r : u_r^(t) = w}``.  Dividing by R gives the empirical estimate
-    of ``P^t e_u`` used on both sides of eq. (14).  The hot paths use
-    :class:`FlatSketch`; this implementation is retained so every array
-    kernel stays equivalence-testable against the original semantics.
-    """
-
-    def __init__(self, walk_matrix: np.ndarray, R: Optional[int] = None) -> None:
-        self.T, bundle = walk_matrix.shape
-        self.R = R if R is not None else bundle
-        self.counts: List[Dict[int, int]] = []
-        for t in range(self.T):
-            row = walk_matrix[t]
-            alive = row[row >= 0]
-            vertices, counts = np.unique(alive, return_counts=True)
-            self.counts.append({int(v): int(cnt) for v, cnt in zip(vertices, counts)})
-
-    def alive_fraction(self, t: int) -> float:
-        """Fraction of the bundle still alive at step t."""
-        return sum(self.counts[t].values()) / self.R
-
-    def collision_value(
-        self, other: "PositionSketch", t: int, diagonal: np.ndarray
-    ) -> float:
-        """Estimate of ``(P^t e_u)^T D (P^t e_v)`` — the inner sum of eq. (14).
-
-        Iterates over the smaller count table; O(min support) per step.
-        """
-        mine = self.counts[t]
-        theirs = other.counts[t]
-        if len(theirs) < len(mine):
-            mine, theirs = theirs, mine
-        total = 0.0
-        for w, count in mine.items():
-            other_count = theirs.get(w)
-            if other_count:
-                total += diagonal[w] * count * other_count
-        return total / (self.R * other.R)
-
-    def self_collision_value(self, t: int, diagonal: np.ndarray) -> float:
-        """Estimate of ``||sqrt(D) P^t e_u||^2`` from one bundle (Algorithm 3)."""
-        total = 0.0
-        for w, count in self.counts[t].items():
-            total += diagonal[w] * (count / self.R) ** 2
-        return total
 
 
 @contract(positions="int64", sketch_vertices="int64", sketch_counts="float64",
@@ -446,7 +438,9 @@ def segment_self_collisions(  # hot-path
     return np.bincount(packed // stride, weights=contributions, minlength=n_segments)
 
 
-def sketch_from_walks(graph: CSRGraph, start: int, R: int, T: int, seed: SeedLike = None) -> PositionSketch:
+def sketch_from_walks(
+    graph: CSRGraph, start: int, R: int, T: int, seed: SeedLike = None
+) -> FlatSketch:
     """Convenience: run a bundle and sketch it in one call."""
     engine = WalkEngine(graph, seed)
-    return PositionSketch(engine.walk_matrix(start, R, T))
+    return FlatSketch(engine.walk_matrix(start, R, T))

@@ -187,7 +187,7 @@ def weighted_single_pair_mc(
     Identical collision estimator; only the step distribution changes.
     """
     from repro.core.linear import resolve_diagonal
-    from repro.core.walks import PositionSketch
+    from repro.core.walks import FlatSketch
 
     check_fraction("c", c)
     check_positive_int("T", T)
@@ -208,10 +208,5 @@ def weighted_single_pair_mc(
             walks[t] = wgraph.sample_in_neighbors(walks[t - 1], rng)
         return walks
 
-    sketch_u = PositionSketch(bundle(u))
-    sketch_v = PositionSketch(bundle(v))
-    total, weight = 0.0, 1.0
-    for t in range(T):
-        total += weight * sketch_u.collision_value(sketch_v, t, d)
-        weight *= c
-    return total
+    value, _ = FlatSketch(bundle(u)).series(FlatSketch(bundle(v)), c, d)
+    return value

@@ -207,22 +207,28 @@ def test_replay_outside_strict_scope_is_legal(sanitized):
 
 def test_estimate_batch_consumption_accounting(sanitized):
     """Each candidate consumes exactly (T-1)*R uniforms from its derived
-    child stream — identically under the array and reference kernels."""
+    child stream — identically in the fused kernel and the test oracle."""
     from repro.core.config import SimRankConfig
     from repro.core.montecarlo import SingleSourceEstimator
     from repro.graph.generators import cycle_graph
     from repro.utils.rng import derive_seed
+    from tests.kernel_oracle import reference_scores
 
     graph = cycle_graph(8)
     candidates = [1, 2, 5]
     seed, samples = 99, 12
+    config = SimRankConfig(T=4, r_pair=samples)
+    kernels = {
+        "array": lambda: SingleSourceEstimator(graph, 0, config, seed=seed).estimate_batch(
+            candidates
+        ),
+        "reference": lambda: reference_scores(graph, 0, config, seed)(candidates, samples),
+    }
 
     consumption = {}
-    for kernel in ("array", "reference"):
+    for kernel, run in kernels.items():
         reset()
-        config = SimRankConfig(T=4, r_pair=samples, kernel=kernel)
-        estimator = SingleSourceEstimator(graph, 0, config, seed=seed)
-        scores = estimator.estimate_batch(candidates)
+        scores = run()
         per_child = {
             v: SHADOW_REGISTRY.consumption(derive_seed(seed, v, samples))
             for v in candidates

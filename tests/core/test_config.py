@@ -94,15 +94,3 @@ class TestDerivedConstructors:
     def test_for_accuracy_invalid_epsilon(self):
         with pytest.raises(ValueError):
             SimRankConfig.for_accuracy(0.0)
-
-
-class TestKernelField:
-    def test_default_is_array(self):
-        assert SimRankConfig().kernel == "array"
-
-    def test_reference_accepted(self):
-        assert SimRankConfig(kernel="reference").kernel == "reference"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            SimRankConfig(kernel="simd")

@@ -175,6 +175,28 @@ class TestLoadValidation:
         with pytest.raises(SerializationError, match="version"):
             CandidateIndex.load(path)
 
+    @pytest.mark.parametrize("kernel", ["array", "reference"])
+    def test_retired_kernel_field_is_ignored(self, saved, kernel):
+        """Headers written while ``SimRankConfig`` had a ``kernel`` field
+        still load, whichever value they hold, to the saved index."""
+        index, path = saved
+        meta = self._meta(path)
+        meta["config"]["kernel"] = kernel
+        self._rewrite(path, meta=meta)
+        loaded = CandidateIndex.load(path)
+        assert loaded.config == index.config
+        assert loaded.H == index.H
+        np.testing.assert_array_equal(loaded.gamma.values, index.gamma.values)
+        assert loaded.build_seconds == index.build_seconds
+
+    def test_unknown_config_field_raises(self, saved):
+        _, path = saved
+        meta = self._meta(path)
+        meta["config"]["walk_kernel"] = "simd"
+        self._rewrite(path, meta=meta)
+        with pytest.raises(SerializationError, match="walk_kernel"):
+            CandidateIndex.load(path)
+
     def test_missing_array_raises(self, saved):
         _, path = saved
         self._rewrite(path, gamma=None)

@@ -105,10 +105,12 @@ class TestWalkMatrix:
 
 
 class TestPositionSketch:
+    """The per-step position sketch, :class:`FlatSketch`."""
+
     def test_counts_sum_to_alive_walks(self, social_graph):
         sketch = sketch_from_walks(social_graph, 0, R=40, T=5, seed=7)
         for t in range(5):
-            assert sum(sketch.counts[t].values()) <= 40
+            assert sketch.row(t)[1].sum() <= 40
 
     def test_alive_fraction_monotone_on_dag(self):
         graph = path_graph(4)
@@ -150,6 +152,7 @@ class TestPositionSketch:
             assert a.collision_value(b, t, d) == pytest.approx(
                 b.collision_value(a, t, d)
             )
+        assert a.series(b, 0.6, d) == pytest.approx(b.series(a, 0.6, d))
 
 
 class TestStepGiven:
@@ -238,6 +241,17 @@ class TestFlatKernels:
             for i, bundle in enumerate(bundles):
                 expected = FlatSketch(bundle).collision_value(u_sketch, t, diagonal)
                 assert seg[i] / (R * u_sketch.R) == pytest.approx(expected, abs=1e-15)
+        # series() is the c-weighted sum of the same per-step values, over
+        # the steps both sketches have.
+        for bundle in bundles:
+            for v_sketch in (FlatSketch(bundle), FlatSketch(bundle[: T - 1])):
+                terms = [
+                    0.6**t * v_sketch.collision_value(u_sketch, t, diagonal)
+                    for t in range(v_sketch.T)
+                ]
+                value, meetings = v_sketch.series(u_sketch, 0.6, diagonal)
+                assert value == pytest.approx(sum(terms), abs=1e-15)
+                assert meetings == sum(term > 0.0 for term in terms)
 
     def test_segment_collisions_rejects_bad_layout(self):
         from repro.core.walks import segment_collisions

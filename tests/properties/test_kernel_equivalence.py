@@ -1,9 +1,10 @@
-"""Array kernels vs ``kernel="reference"``: equivalence on identical seeds.
+"""Array kernels vs the dict-based oracle: equivalence on identical seeds.
 
 The contract (docs/performance.md): with the same config and seed, the
-array-native kernels (FlatSketch, fused ``estimate_batch``, batched
-Algorithm 4) must reproduce the dict-based reference path — scores to
-within float rounding (1e-12), signatures and top-k vertex sets exactly.
+array-native kernels (FlatSketch, ``FlatSketch.series``, fused
+``estimate_batch``, batched Algorithm 4) must reproduce the per-walk
+reference path of ``tests/kernel_oracle.py`` — scores to within float
+rounding (1e-12), signatures and top-k vertex sets exactly.
 """
 
 from __future__ import annotations
@@ -16,8 +17,16 @@ from hypothesis import strategies as st
 from repro.core.config import SimRankConfig
 from repro.core.index import build_index, build_signatures
 from repro.core.montecarlo import SingleSourceEstimator, single_pair_simrank
-from repro.core.query import top_k_query
+from repro.core.query import plan_query, scan, top_k_query
 from repro.graph.csr import CSRGraph
+from repro.utils.rng import derive_seed
+from tests.kernel_oracle import (
+    PositionSketch,
+    reference_scores,
+    reference_series,
+    reference_signatures,
+    reference_single_pair,
+)
 
 TOL = 1e-12
 
@@ -33,9 +42,6 @@ FAST = SimRankConfig(
     theta=0.001,
 )
 
-ARRAY = FAST.with_(kernel="array")
-REFERENCE = FAST.with_(kernel="reference")
-
 
 @st.composite
 def graphs(draw, max_n: int = 12, max_m: int = 40):
@@ -50,7 +56,7 @@ class TestSketchEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_flat_sketch_matches_position_sketch(self, graph, seed):
         from repro.core.linear import resolve_diagonal
-        from repro.core.walks import FlatSketch, PositionSketch, WalkEngine
+        from repro.core.walks import FlatSketch, WalkEngine
 
         engine = WalkEngine(graph, seed)
         walks_u = engine.walk_matrix(0, 15, 5)
@@ -66,6 +72,11 @@ class TestSketchEquivalence:
                 dict_u.self_collision_value(t, diagonal), abs=TOL
             )
             assert flat_u.alive_fraction(t) == dict_u.alive_fraction(t)
+        for c in (0.6, 0.8):
+            value, meetings = flat_u.series(flat_v, c, diagonal)
+            expected, expected_meetings = reference_series(dict_u, dict_v, c, diagonal)
+            assert value == pytest.approx(expected, abs=TOL)
+            assert meetings == expected_meetings
 
 
 class TestSinglePairEquivalence:
@@ -73,8 +84,8 @@ class TestSinglePairEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_single_pair_matches_reference(self, graph, seed):
         u, v = 0, graph.n - 1
-        array_score = single_pair_simrank(graph, u, v, config=ARRAY, seed=seed)
-        reference_score = single_pair_simrank(graph, u, v, config=REFERENCE, seed=seed)
+        array_score = single_pair_simrank(graph, u, v, config=FAST, seed=seed)
+        reference_score = reference_single_pair(graph, u, v, FAST, seed=seed)
         assert array_score == pytest.approx(reference_score, abs=TOL)
 
 
@@ -85,12 +96,10 @@ class TestBatchEstimatorEquivalence:
         u = seed % graph.n
         candidates = [v for v in range(graph.n)]  # includes u itself
         array_scores = SingleSourceEstimator(
-            graph, u, config=ARRAY, seed=seed
+            graph, u, config=FAST, seed=seed
         ).estimate_batch(candidates, R=12)
-        reference_scores = SingleSourceEstimator(
-            graph, u, config=REFERENCE, seed=seed
-        ).estimate_batch(candidates, R=12)
-        np.testing.assert_allclose(array_scores, reference_scores, atol=TOL)
+        oracle_scores = reference_scores(graph, u, FAST, seed)(candidates, 12)
+        np.testing.assert_allclose(array_scores, oracle_scores, atol=TOL)
         assert array_scores[u] == 1.0
 
     @given(graphs(), st.integers(min_value=0, max_value=2**31))
@@ -102,11 +111,11 @@ class TestBatchEstimatorEquivalence:
         everyone = list(range(1, graph.n))
         if not everyone:
             return
-        estimator = SingleSourceEstimator(graph, u, config=ARRAY, seed=seed)
+        estimator = SingleSourceEstimator(graph, u, config=FAST, seed=seed)
         full = estimator.estimate_batch(everyone, R=10)
         for i in range(0, len(everyone), 3):
             alone = SingleSourceEstimator(
-                graph, u, config=ARRAY, seed=seed
+                graph, u, config=FAST, seed=seed
             ).estimate_batch([everyone[i]], R=10)
             assert alone[0] == full[i]
 
@@ -115,16 +124,16 @@ class TestBatchEstimatorEquivalence:
     def test_estimate_many_agrees_with_batch(self, graph, seed):
         u = 0
         candidates = list(range(graph.n))
-        estimator = SingleSourceEstimator(graph, u, config=ARRAY, seed=seed)
+        estimator = SingleSourceEstimator(graph, u, config=FAST, seed=seed)
         batch = estimator.estimate_batch(candidates, R=8)
         many = SingleSourceEstimator(
-            graph, u, config=ARRAY, seed=seed
+            graph, u, config=FAST, seed=seed
         ).estimate_many(candidates, R=8)
         for v, score in zip(candidates, batch):
             assert many[v] == float(score)
 
     def test_empty_batch(self, social_graph):
-        estimator = SingleSourceEstimator(social_graph, 0, config=ARRAY, seed=1)
+        estimator = SingleSourceEstimator(social_graph, 0, config=FAST, seed=1)
         assert estimator.estimate_batch([]).size == 0
 
 
@@ -132,8 +141,8 @@ class TestSignatureEquivalence:
     @given(graphs(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=30, deadline=None)
     def test_signatures_identical(self, graph, seed):
-        assert build_signatures(graph, ARRAY, seed=seed) == build_signatures(
-            graph, REFERENCE, seed=seed
+        assert build_signatures(graph, FAST, seed=seed) == reference_signatures(
+            graph, FAST, seed=seed
         )
 
     @given(graphs(), st.integers(min_value=0, max_value=2**31))
@@ -141,35 +150,34 @@ class TestSignatureEquivalence:
     def test_subset_rebuild_matches_full_build(self, graph, seed):
         """Per-vertex seeds: rebuilding a subset reproduces exactly the
         rows a full build produces (the incremental-maintenance contract)."""
-        full = build_signatures(graph, ARRAY, seed=seed)
+        full = build_signatures(graph, FAST, seed=seed)
         subset = list(range(0, graph.n, 2))
-        rebuilt = build_signatures(graph, ARRAY, seed=seed, vertices=subset)
+        rebuilt = build_signatures(graph, FAST, seed=seed, vertices=subset)
         assert rebuilt == [full[u] for u in subset]
 
     @given(graphs(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=20, deadline=None)
     def test_text_rule_identical_too(self, graph, seed):
-        text_array = build_signatures(
-            graph, ARRAY.with_(candidate_rule="text"), seed=seed
-        )
-        text_reference = build_signatures(
-            graph, REFERENCE.with_(candidate_rule="text"), seed=seed
-        )
+        text_config = FAST.with_(candidate_rule="text")
+        text_array = build_signatures(graph, text_config, seed=seed)
+        text_reference = reference_signatures(graph, text_config, seed=seed)
         assert text_array == text_reference
+
+
+def _oracle_top_k(graph, index, u, k, config, seed):
+    """Algorithm 5's scan over the served plan, every estimate from the oracle."""
+    plan = plan_query(graph, index, u, k=k, config=config, seed=seed)
+    return scan(plan, plan.k, reference_scores(graph, u, config, plan.score_seed))
 
 
 class TestQueryEquivalence:
     @pytest.mark.parametrize("u", [0, 3, 17])
     def test_top_k_vertex_sets_identical(self, social_graph, test_config, u):
-        array_config = test_config.with_(kernel="array")
-        reference_config = test_config.with_(kernel="reference")
-        array_index = build_index(social_graph, array_config, seed=0)
-        reference_index = build_index(social_graph, reference_config, seed=0)
-        assert array_index.H == reference_index.H
-        a = top_k_query(social_graph, array_index, u, k=8, config=array_config, seed=5)
-        b = top_k_query(
-            social_graph, reference_index, u, k=8, config=reference_config, seed=5
-        )
+        index = build_index(social_graph, test_config, seed=0)
+        oracle_rows = reference_signatures(social_graph, test_config, seed=derive_seed(0, 1))
+        assert [index.H.out_neighbors(w).tolist() for w in range(index.n)] == oracle_rows
+        a = top_k_query(social_graph, index, u, k=8, config=test_config, seed=5)
+        b = _oracle_top_k(social_graph, index, u, 8, test_config, 5)
         assert a.vertices() == b.vertices()
         for (va, sa), (vb, sb) in zip(a.items, b.items):
             assert va == vb
@@ -179,12 +187,10 @@ class TestQueryEquivalence:
         assert a.stats.refined == b.stats.refined
 
     def test_top_k_vertex_sets_identical_web(self, web_graph, test_config):
-        array_config = test_config.with_(kernel="array")
-        reference_config = test_config.with_(kernel="reference")
-        index = build_index(web_graph, array_config, seed=2)
+        index = build_index(web_graph, test_config, seed=2)
         for u in range(0, web_graph.n, 16):
-            a = top_k_query(web_graph, index, u, k=6, config=array_config, seed=u)
-            b = top_k_query(web_graph, index, u, k=6, config=reference_config, seed=u)
+            a = top_k_query(web_graph, index, u, k=6, config=test_config, seed=u)
+            b = _oracle_top_k(web_graph, index, u, 6, test_config, u)
             assert a.vertices() == b.vertices()
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import SimRankConfig
 from repro.core.montecarlo import single_pair_simrank
-from repro.core.walks import DEAD, PositionSketch, WalkEngine
+from repro.core.walks import DEAD, FlatSketch, WalkEngine
 from repro.graph.csr import CSRGraph
 
 
@@ -42,9 +42,9 @@ class TestWalkInvariants:
     def test_sketch_counts_bounded_by_R(self, graph, seed):
         engine = WalkEngine(graph, seed=seed)
         start = seed % graph.n
-        sketch = PositionSketch(engine.walk_matrix(start, R=12, T=5))
+        sketch = FlatSketch(engine.walk_matrix(start, R=12, T=5))
         for t in range(5):
-            total = sum(sketch.counts[t].values())
+            total = sketch.row(t)[1].sum()
             assert 0 <= total <= 12
             assert 0.0 <= sketch.alive_fraction(t) <= 1.0
 
@@ -53,8 +53,8 @@ class TestWalkInvariants:
     def test_collision_values_nonnegative_and_bounded(self, graph, seed):
         engine = WalkEngine(graph, seed=seed)
         d = np.full(graph.n, 0.4)
-        a = PositionSketch(engine.walk_matrix(0, R=10, T=4))
-        b = PositionSketch(engine.walk_matrix(graph.n - 1, R=10, T=4))
+        a = FlatSketch(engine.walk_matrix(0, R=10, T=4))
+        b = FlatSketch(engine.walk_matrix(graph.n - 1, R=10, T=4))
         for t in range(4):
             value = a.collision_value(b, t, d)
             assert 0.0 <= value <= 0.4 + 1e-12

@@ -182,7 +182,7 @@ class TestEngineOverrides:
     def test_invalid_override_leaves_state_untouched(self, static_engine):
         handle = EngineHandle(static_engine, cache_capacity=None)
         with pytest.raises(ValueError):
-            handle.apply_engine_overrides(kernel="reference")
+            handle.apply_engine_overrides(T=5)
         assert handle.engine_overrides() == {}
         handle.close()
 

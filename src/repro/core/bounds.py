@@ -22,7 +22,10 @@ query vertex has *low* degree (``P^t e_u`` stays concentrated).
 
 Tight when the query vertex has *high* degree (the walk distribution
 flattens, so its 2-norm collapses).  γ is precomputed for every vertex
-during preprocessing; α/β are computed per query (§7.1).
+during preprocessing; α/β are computed per query (§7.1).  Vertex u's γ
+walks run on the uniform block :func:`~repro.utils.rng.keyed_uniforms`
+keys by ``(seed, 31, u)``, so a row is the same whether it is built
+alone, in a subset repair, or in the full table.
 
 A note on soundness: the ``d' ≥ d - t`` restriction uses the triangle
 inequality symmetrically, which holds for the symmetrised distance.  On
@@ -45,7 +48,7 @@ from repro.core.config import SimRankConfig
 from repro.core.linear import DiagonalLike, resolve_diagonal
 from repro.core.walks import FlatSketch, WalkEngine, segment_self_collisions
 from repro.utils.contracts import contract
-from repro.utils.rng import SeedLike, derive_seed, ensure_rng
+from repro.utils.rng import SeedLike, ensure_rng, keyed_uniforms, root_seed
 
 
 __all__ = [
@@ -231,8 +234,8 @@ def compute_gamma_rows(
 ) -> np.ndarray:
     """Algorithm 3 rows for an arbitrary vertex subset, shape (len, T).
 
-    Every vertex draws from its own derived stream
-    (``derive_seed(base, 31, u)``) consumed positionally via
+    Vertex u's walks draw the uniform block
+    ``keyed_uniforms(seed, 31, [u], …)``, consumed positionally via
     :meth:`~repro.core.walks.WalkEngine.step_given`, so the row computed
     for ``u`` is a pure function of ``(graph, config, seed, u)`` — a
     subset recomputation (the dynamic engine's flush repair) is
@@ -252,8 +255,8 @@ def compute_gamma_rows(
         raise VertexError(offender, graph.n)
     d_vec = resolve_diagonal(graph.n, config.c, diagonal)
     R, T = config.r_gamma, config.T
-    base_seed = seed if (seed is None or isinstance(seed, int)) else derive_seed(seed)
-    engine = WalkEngine(graph, ensure_rng(base_seed))
+    base_seed = root_seed(seed)
+    engine = WalkEngine(graph)
     rows = np.zeros((len(vertex_array), T))
     block_size = max(1, 16384 // max(1, R))
     for start in range(0, len(vertex_array), block_size):
@@ -261,19 +264,11 @@ def compute_gamma_rows(
         width = len(block)
         positions = np.repeat(block, R)
         segments = np.repeat(np.arange(width, dtype=np.int64), R)
-        uniforms: Optional[np.ndarray] = None
-        if T > 1:
-            uniforms = np.concatenate(
-                [
-                    ensure_rng(derive_seed(base_seed, 31, int(u))).random((T - 1, R))
-                    for u in block
-                ],
-                axis=1,
-            )
+        uniforms = keyed_uniforms(base_seed, 31, block, T - 1, R)
         for t in range(T):
             sums = segment_self_collisions(positions, segments, d_vec, R, width)
             rows[start : start + width, t] = np.sqrt(sums)
-            if t + 1 < T and uniforms is not None:
+            if t + 1 < T:
                 positions = engine.step_given(positions, uniforms[t])
     return rows
 
@@ -291,7 +286,7 @@ def compute_gamma_all(
     :func:`~repro.core.walks.segment_self_collisions` pass per step —
     O(n R log(nR)) per step but fully vectorised, which is what makes
     O(n)-style preprocessing practical in Python.  Draws come from
-    per-vertex derived streams (see :func:`compute_gamma_rows`) so the
+    per-vertex keyed uniform blocks (see :func:`compute_gamma_rows`) so the
     dynamic engine can recompute any affected subset and land on the
     same bits as this full build.
     """

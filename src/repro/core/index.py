@@ -20,8 +20,10 @@ so candidate enumeration is a union of short in-rows.  Total index
 space is O(nP) plus the O(nT) γ table, the paper's "small space" claim.
 H's arrays are read-only; a changed index is a new one
 (:meth:`CandidateIndex.with_rows`), never a patched one.  Algorithm 4
-runs as one fused walk matrix per block of vertices; the tests keep a
-per-vertex builder as its equivalence oracle.
+runs as one fused walk matrix per block of vertices, vertex u's walks on
+the uniform block :func:`~repro.utils.rng.keyed_uniforms` keys by
+``(seed, 29, u)``; the tests keep a per-vertex builder as its
+equivalence oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.core.bounds import GammaTable, compute_gamma_all
 from repro.core.config import SimRankConfig
 from repro.core.walks import WalkEngine
 from repro.obs import instrument as obs
-from repro.utils.rng import SeedLike, derive_seed, ensure_rng
+from repro.utils.rng import SeedLike, derive_seed, keyed_uniforms, root_seed
 
 
 __all__ = [
@@ -385,23 +387,20 @@ def build_signatures(
     update only the vertices whose reverse-walk ball touched the change
     need new signatures.
 
-    Each vertex's P·(1+Q) walks draw from ``derive_seed(seed, 29, u)``,
-    so a vertex's signature is a deterministic function of ``(seed, u)``
-    and independent of which other vertices are (re)built alongside it —
-    incremental rebuilds reproduce exactly what a full build produces.
-    Whole blocks of vertices run as one fused walk matrix; the uniform
-    blocks are consumed positionally, so each vertex's walks match its
-    own seeded bundle (see ``docs/performance.md``).
+    Vertex u's P·(1+Q) walks draw the uniform block
+    ``keyed_uniforms(seed, 29, [u], …)``, so a vertex's signature is a
+    deterministic function of ``(seed, u)`` and independent of which
+    other vertices are (re)built alongside it — incremental rebuilds
+    reproduce exactly what a full build produces.  Whole blocks of
+    vertices draw their uniforms in one call and run as one fused walk
+    matrix; the uniforms are consumed positionally, so each vertex's
+    walks match its own seeded bundle (see ``docs/performance.md``).
     """
     targets = [int(u) for u in (range(graph.n) if vertices is None else vertices)]
-    base_seed = seed if (seed is None or isinstance(seed, int)) else derive_seed(seed)
+    base_seed = root_seed(seed)
     engine = WalkEngine(graph)
     P, Q, T = config.index_walks, config.index_checks, config.T
     width = P * (1 + Q)
-
-    def vertex_uniforms(u: int) -> np.ndarray:
-        return ensure_rng(derive_seed(base_seed, 29, u)).random((T - 1, width))
-
     signatures: List[List[int]] = []
     block_size = max(1, 16384 // width)
     for lo in range(0, len(targets), block_size):
@@ -409,10 +408,9 @@ def build_signatures(
         starts = np.repeat(np.asarray(block, dtype=np.int64), width)
         bundle = np.empty((T, starts.size), dtype=np.int64)
         bundle[0] = starts
-        if T > 1:
-            uniforms = np.concatenate([vertex_uniforms(u) for u in block], axis=1)
-            for t in range(1, T):
-                bundle[t] = engine.step_given(bundle[t - 1], uniforms[t - 1])
+        uniforms = keyed_uniforms(base_seed, 29, block, T - 1, width)
+        for t in range(1, T):
+            bundle[t] = engine.step_given(bundle[t - 1], uniforms[t - 1])
         signatures.extend(_signatures_from_block(bundle, block, config))
     return signatures
 

@@ -37,7 +37,7 @@ from repro.core.linear import DiagonalLike, resolve_diagonal
 from repro.core.walks import FlatSketch, WalkEngine
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
-from repro.utils.rng import SeedLike, derive_seed, ensure_rng
+from repro.utils.rng import SeedLike, derive_seed
 
 
 __all__ = ["JoinStats", "JoinResult", "similarity_join"]
@@ -123,7 +123,7 @@ def similarity_join(
     # Verification with per-vertex sketch reuse: each vertex's walk
     # bundle is simulated once per budget level and shared across all
     # its surviving pairs.
-    engine = WalkEngine(graph, ensure_rng(derive_seed(seed, 33)))
+    engine = WalkEngine(graph, derive_seed(seed, 33))
     sketch_cache: Dict[Tuple[int, int], FlatSketch] = {}
 
     def sketch(u: int, budget: int) -> FlatSketch:

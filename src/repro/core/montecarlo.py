@@ -10,7 +10,9 @@ where α_w, β_w count how many u-walks / v-walks sit at w after t steps.
 The cost is O(T R) per pair — independent of n and m, which is the crux
 of the paper's scalability argument.  Pairwise estimates sum the series
 with :meth:`~repro.core.walks.FlatSketch.series`; batches of candidates
-use the fused kernel of :meth:`SingleSourceEstimator.estimate_batch`.
+use the fused kernel of :meth:`SingleSourceEstimator.estimate_batch`,
+which walks candidate v's R-walk bundle on the uniform block
+:func:`~repro.utils.rng.keyed_uniforms` keys by ``(seed, R, v)``.
 
 Concentration: Proposition 3 / Corollary 1 give
 ``R = 2 (1-c)^2 log(4 n T / δ) / ε^2`` for ε-accuracy with probability
@@ -31,7 +33,7 @@ from repro.core.config import SimRankConfig
 from repro.core.linear import resolve_diagonal, DiagonalLike
 from repro.core.walks import FlatSketch, WalkEngine, segment_collisions
 from repro.obs import instrument as obs
-from repro.utils.rng import SeedLike, derive_seed, ensure_rng
+from repro.utils.rng import SeedLike, derive_seed, ensure_rng, keyed_uniforms, root_seed
 
 
 __all__ = [
@@ -113,11 +115,12 @@ class SingleSourceEstimator:
 
     - :meth:`estimate` — one candidate at a time, bundles drawn from the
       estimator's shared stream (the original Algorithm 1 draw order);
-    - :meth:`estimate_batch` — all candidates at once.  Each candidate's
-      uniforms come from a *derived* seed (``derive_seed(seed, v, R)``),
-      so its score is a deterministic function of ``(seed, v, R)`` and
-      therefore independent of batch composition and order.  The whole
-      batch steps as one fused ``(T, B·R)`` matrix and reduces against
+    - :meth:`estimate_batch` — all candidates at once.  Candidate v's
+      uniforms are the keyed block ``keyed_uniforms(root, R, [v], …)``
+      of the estimator's root seed, so its score is a deterministic
+      function of ``(seed, v, R)`` and therefore independent of batch
+      composition and order.  The whole batch draws its blocks in one
+      call, steps as one fused ``(T, B·R)`` matrix and reduces against
       the u-sketch with segment sums (see ``docs/performance.md``).
     """
 
@@ -154,12 +157,10 @@ class SingleSourceEstimator:
                     walks=self.config.r_pair, steps=self.config.r_pair * self.config.T
                 )
         self.sketch_u = sketch_u
-        # Canonical int root for per-candidate derived seeds.  Resolved
-        # *after* the u-bundle so a Generator seed feeds the u-walks the
-        # same draws as before this field existed.
-        self._batch_seed: Optional[int] = (
-            seed if (seed is None or isinstance(seed, int)) else derive_seed(seed)
-        )
+        # Int root of the per-candidate keyed blocks, drawn once (fresh
+        # for seed=None).  Resolved *after* the u-bundle, so a Generator
+        # seed's first draws go to u's walks.
+        self._batch_seed = root_seed(seed)
 
     def estimate(self, v: int, R: Optional[int] = None) -> float:
         """Estimate s^(T)(u, v) with a fresh R-walk bundle for v."""
@@ -182,11 +183,11 @@ class SingleSourceEstimator:
     ) -> np.ndarray:
         """Scores for all ``candidates`` at once, aligned with the input.
 
-        Every candidate gets its own R-walk bundle seeded by
-        ``derive_seed(seed, v, R)``; self-candidates score 1.0 without
-        simulation.  The bundles run fused (one position row per step for
-        the whole batch) — the vectorised pass behind Algorithm 5's screen
-        and refine phases.
+        Every candidate v gets its own R-walk bundle, driven by the
+        uniform block keyed by ``(seed, R, v)``; self-candidates score
+        1.0 without simulation.  The bundles run fused (one position row
+        per step for the whole batch) — the vectorised pass behind
+        Algorithm 5's screen and refine phases.
         """
         samples = R if R is not None else self.config.r_pair
         cand = np.asarray([int(v) for v in candidates], dtype=np.int64)
@@ -210,11 +211,6 @@ class SingleSourceEstimator:
             )
         return scores
 
-    def _candidate_uniforms(self, v: int, samples: int) -> np.ndarray:
-        """The (T-1, R) uniform block owned by candidate ``v``'s bundle."""
-        child = derive_seed(self._batch_seed, int(v), samples)
-        return ensure_rng(child).random((self.config.T - 1, samples))
-
     def _batch_array(
         self, others: np.ndarray, samples: int
     ) -> Tuple[np.ndarray, int]:
@@ -222,16 +218,16 @@ class SingleSourceEstimator:
 
         Per step: one :func:`segment_collisions` against the u-sketch's
         sorted row, then one :meth:`WalkEngine.step_given` with the
-        candidates' concatenated uniform blocks.  Because uniforms are
-        consumed positionally, the fused trajectories are bit-identical
-        to running each candidate's seeded bundle alone.
+        candidates' side-by-side uniform blocks (one
+        :func:`keyed_uniforms` call, salt R, key v).  Because uniforms
+        are consumed positionally, the fused trajectories are
+        bit-identical to :meth:`WalkEngine.walk_matrix_seeded` of each
+        candidate alone.
         """
         T, c = self.config.T, self.config.c
         B = int(others.size)
         sketch_u = self.sketch_u
-        uniforms = np.concatenate(
-            [self._candidate_uniforms(int(v), samples) for v in others], axis=1
-        ) if T > 1 else np.empty((0, B * samples))
+        uniforms = keyed_uniforms(self._batch_seed, samples, others, T - 1, samples)
         positions = np.repeat(others, samples)
         totals = np.zeros(B)
         meetings = 0
@@ -310,8 +306,6 @@ def single_pair_with_ci(
         if not 0 <= int(u) < graph.n:
             raise VertexError(int(u), graph.n)
         return PairEstimate(1.0, 0.0, confidence, batches)
-    from repro.utils.rng import derive_seed
-
     replicates = np.array(
         [
             single_pair_simrank(

@@ -20,25 +20,26 @@ primitive, vectorised with numpy over whole walk bundles:
 **Seeded bundles.**  :meth:`WalkEngine.walk_matrix` consumes the
 engine's shared stream and draws one uniform per *alive, movable* walk
 per step.  The batch kernels instead use :meth:`WalkEngine.step_given`
-with a pre-drawn ``rng.random((T - 1, R))`` block, consumed
-*positionally* (a dead slot burns its draw).  Positional consumption is
-what makes fusing exact: stacking the per-bundle uniform blocks side by
-side and stepping the fused ``(T, B·R)`` matrix yields bit-identical
-trajectories to stepping each seeded bundle alone, so batch results are
-reproducible from per-candidate derived seeds regardless of batch
-composition.
+with a pre-drawn ``(T - 1, R)`` block per bundle from
+:func:`~repro.utils.rng.keyed_uniforms`, consumed *positionally* (a dead
+slot burns its draw).  Positional consumption is what makes fusing
+exact: a keyed block does not depend on the other keys drawn with it,
+so stepping the fused ``(T, B·R)`` matrix yields bit-identical
+trajectories to stepping each seeded bundle alone, and batch results
+are reproducible from ``(seed, salt, start vertex)`` regardless of
+batch composition.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import VertexError
 from repro.graph.csr import CSRGraph
 from repro.utils.contracts import contract
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike, ensure_rng, keyed_uniforms
 
 
 __all__ = [
@@ -145,20 +146,23 @@ class WalkEngine:
         return out
 
     @contract(returns="int64[2d]")
-    def walk_matrix_seeded(self, start: int, R: int, T: int, seed: SeedLike) -> np.ndarray:
-        """Like :meth:`walk_matrix`, driven by a private seeded stream.
+    def walk_matrix_seeded(
+        self, start: int, R: int, T: int, seed: int, salt: int
+    ) -> np.ndarray:
+        """Like :meth:`walk_matrix`, driven by ``start``'s keyed uniforms.
 
-        The whole uniform block is drawn up front as one
-        ``rng.random((T - 1, R))`` call and consumed positionally via
-        :meth:`step_given`.  A block of these bundles fused side by side
-        therefore steps to bit-identical trajectories — the determinism
-        contract of the batch estimators and the batched Algorithm 4.
+        The whole uniform block is ``keyed_uniforms(seed, salt, [start],
+        T - 1, R)``, consumed positionally via :meth:`step_given`.  A
+        batch kernel that draws many keys in one call and steps them
+        fused side by side therefore reaches bit-identical trajectories
+        — the determinism contract of the batch estimators, Algorithm 3
+        and the batched Algorithm 4.
         """
         if not 0 <= start < self.graph.n:
             raise VertexError(start, self.graph.n)
         if R < 1 or T < 1:
             raise ValueError(f"R and T must be >= 1, got R={R}, T={T}")
-        uniforms = ensure_rng(seed).random((T - 1, R))
+        uniforms = keyed_uniforms(seed, salt, [start], T - 1, R)
         out = np.empty((T, R), dtype=np.int64)
         out[0] = start
         for t in range(1, T):
@@ -213,28 +217,21 @@ _STEP_SHIFT = 32
 _VERTEX_MASK = (1 << _STEP_SHIFT) - 1
 
 
-def _step_keys(offsets: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """``(t << 32) | vertex`` for every sketch entry, t its step.
-
-    Vertex ids are below 2^32, so the step tag never overlaps them.
-    """
-    steps = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
-    return (steps << _STEP_SHIFT) | vertices
-
-
 class FlatSketch:
     """Array-native per-step occupation counts of one walk bundle.
 
     For a bundle of R walks from u, step t is stored as a slice of two
     contiguous arrays — sorted distinct vertex ids (int64) and their
-    occupation counts (float64) — built with one ``np.sort`` plus
-    run-length encode per row.  Dividing counts by R gives the empirical
-    estimate of ``P^t e_u`` used on both sides of eq. (14); collision
-    values are computed by a ``searchsorted`` merge of two sorted id
-    arrays.  ``keys`` tags every entry with its step,
-    ``(t << 32) | vertex``; rows are sorted, so the keys are sorted
-    across the whole sketch and :meth:`series` matches all T steps in
-    one merge.
+    occupation counts (float64).  Dividing counts by R gives the
+    empirical estimate of ``P^t e_u`` used on both sides of eq. (14);
+    collision values are computed by a ``searchsorted`` merge of two
+    sorted id arrays.  ``keys`` tags every entry with its step,
+    ``(t << 32) | vertex`` (vertex ids are below 2^32, so the tag never
+    overlaps them); the keys are sorted across the whole sketch, so
+    :meth:`series` matches all T steps in one merge.  The sketch is
+    built from its keys: one ``np.sort`` of the alive walks' step-tagged
+    positions, one run-length encode, and the step offsets read off the
+    sorted keys.
     """
 
     __slots__ = ("T", "R", "vertices", "counts", "offsets", "keys")
@@ -244,65 +241,11 @@ class FlatSketch:
         self.T = int(walk_matrix.shape[0])
         bundle = int(walk_matrix.shape[1])
         self.R = int(R) if R is not None else bundle
-        vertex_rows: List[np.ndarray] = []
-        count_rows: List[np.ndarray] = []
-        self.offsets = np.zeros(self.T + 1, dtype=np.int64)
-        for t in range(self.T):
-            row = walk_matrix[t]
-            vertices, counts = run_length_encode(np.sort(row[row >= 0]))  # repro: noqa R15 -- dead-walk compaction must copy: the row is re-sorted anyway and rows are bundle-sized, not graph-sized
-            vertex_rows.append(vertices)
-            count_rows.append(counts)
-            self.offsets[t + 1] = self.offsets[t] + vertices.size
-        self.vertices = (
-            np.concatenate(vertex_rows) if vertex_rows else np.empty(0, dtype=np.int64)
-        )
-        self.counts = (
-            np.concatenate(count_rows) if count_rows else np.empty(0, dtype=np.float64)
-        )
-        self.keys = _step_keys(self.offsets, self.vertices)
-
-    def to_buffers(self) -> Dict[str, np.ndarray]:
-        """The three backing arrays, by reference (no copies).
-
-        Together with :meth:`from_buffers` this is the zero-copy
-        transport form used by :mod:`repro.shard` to place a query
-        sketch (or any precomputed bundle digest) in shared memory.
-        """
-        return {
-            "vertices": self.vertices,
-            "counts": self.counts,
-            "offsets": self.offsets,
-        }
-
-    @classmethod
-    def from_buffers(
-        cls, T: int, R: int, buffers: Dict[str, np.ndarray]
-    ) -> "FlatSketch":
-        """Reconstruct a sketch over existing arrays, copying none.
-
-        Bypasses ``__init__`` (which encodes from a walk matrix) and
-        binds the slots directly to the given arrays, so the result
-        shares memory with ``buffers``.
-        """
-        try:
-            vertices = buffers["vertices"]
-            counts = buffers["counts"]
-            offsets = buffers["offsets"]
-        except KeyError as exc:
-            raise ValueError(f"sketch buffer set is missing array {exc}") from exc
-        if offsets.ndim != 1 or offsets.shape[0] != int(T) + 1:
-            raise ValueError(
-                f"sketch offsets must have T + 1 = {int(T) + 1} entries, "
-                f"got shape {offsets.shape}"
-            )
-        sketch = cls.__new__(cls)
-        sketch.T = int(T)
-        sketch.R = int(R)
-        sketch.vertices = vertices
-        sketch.counts = counts
-        sketch.offsets = offsets
-        sketch.keys = _step_keys(offsets, vertices)
-        return sketch
+        step_tags = np.arange(self.T + 1, dtype=np.int64) << _STEP_SHIFT
+        tagged = walk_matrix + step_tags[:-1, None]
+        self.keys, self.counts = run_length_encode(np.sort(tagged[walk_matrix >= 0]))
+        self.vertices = self.keys & _VERTEX_MASK
+        self.offsets = np.searchsorted(self.keys, step_tags)
 
     def row(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(vertices, counts)`` views for step t (sorted, distinct)."""

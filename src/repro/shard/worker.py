@@ -3,8 +3,9 @@
 **Why bit-identity survives sharding.**  The coordinator plans the
 query once (:func:`repro.core.query.plan_query`) and sends each worker
 the slice of the plan it owns.  An estimate is a function of
-``(vertex, R)`` alone — batch estimates draw from per-candidate derived
-seeds (``derive_seed(batch_seed, v, R)``) — so the only state that
+``(vertex, R)`` alone — batch estimates walk each candidate v on the
+uniform block keyed by ``(batch_seed, R, v)``
+(:func:`~repro.utils.rng.keyed_uniforms`) — so the only state that
 couples candidates is the k-heap cutoff that decides who gets pruned,
 screened, or refined.  Each worker therefore runs the single-process
 :func:`~repro.core.query.scan` on its slice with ``k=None``, i.e. at

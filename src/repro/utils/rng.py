@@ -5,11 +5,18 @@ may be ``None`` (fresh entropy), an integer, or an existing
 :class:`numpy.random.Generator`.  Centralizing the coercion here keeps the
 Monte-Carlo code deterministic under test while staying convenient for
 interactive use.
+
+Per-vertex walk bundles draw from :func:`keyed_uniforms`, a
+counter-based source (SplitMix64, in the spirit of Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11): the uniforms of
+one key are a pure function of ``(seed, salt, key)``, so a whole batch of
+per-vertex streams is a few numpy passes instead of one seeded
+generator per vertex.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -73,3 +80,71 @@ def derive_seed(seed: SeedLike, *salt: int) -> Optional[int]:
 
         note_derived_seed(child)
     return child
+
+
+#: SplitMix64's constants as 0-d uint64 arrays (cheaper ufunc operands
+#: than numpy scalars): the increment G (the 64-bit golden ratio) and
+#: the finalizer's two (right shift, multiplier) rounds and last shift.
+_GOLDEN = np.array(0x9E3779B97F4A7C15, dtype=np.uint64)
+_MASK64 = (1 << 64) - 1
+_MIX_ROUNDS = (
+    (np.array(30, dtype=np.uint64), np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)),
+    (np.array(27, dtype=np.uint64), np.array(0x94D049BB133111EB, dtype=np.uint64)),
+)
+_MIX_LAST = np.array(31, dtype=np.uint64)
+#: 64 - 53: keep the top 53 bits, the precision of a float64 in [0, 1).
+_FRACTION_SHIFT = np.array(11, dtype=np.uint64)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a uint64 array (wraps mod 2^64)."""
+    scratch = np.empty_like(z)
+    for shift, mult in _MIX_ROUNDS:
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
+        z *= mult
+    np.right_shift(z, _MIX_LAST, out=scratch)
+    z ^= scratch
+    return z
+
+
+def root_seed(seed: SeedLike) -> int:
+    """The int root of a family of :func:`keyed_uniforms` streams.
+
+    An int is its own root; a generator yields one draw, as
+    :func:`derive_seed` takes it.  ``None`` draws a fresh root, so a
+    caller that resolves its root once gets fresh entropy per call, not
+    per key.
+    """
+    if seed is None:
+        seed = np.random.default_rng()
+    if isinstance(seed, np.random.Generator):
+        return int(seed.integers(2**63))
+    return int(seed)
+
+
+def keyed_uniforms(
+    seed: int, salt: int, keys: "Sequence[int] | np.ndarray", rows: int, width: int
+) -> np.ndarray:
+    """Uniforms in [0, 1) for every key, shape ``(rows, len(keys) * width)``.
+
+    Column block b (``width`` columns) belongs to ``keys[b]`` and is a pure
+    function of ``(seed, salt, keys[b])``, whatever else is in ``keys``.
+    Key b's stream key is ``mix(mix(seed + salt·G) ^ mix(keys[b] + G))``;
+    its i-th value (row-major over the ``(rows, width)`` block) is
+    ``mix(key + (i+1)·G) >> 11`` scaled by 2^-53, with ``G`` SplitMix64's
+    increment and ``mix`` its finalizer, all modulo 2^64.
+    """
+    keys_u64 = np.asarray(keys).astype(np.uint64).reshape(-1)
+    root = np.array([(seed + salt * int(_GOLDEN)) & _MASK64], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        streams = _mix(keys_u64 + _GOLDEN)
+        streams ^= _mix(root)
+        _mix(streams)
+        counters = np.arange(1, rows * width + 1, dtype=np.uint64)
+        counters *= _GOLDEN
+        values = _mix(counters.reshape(rows, 1, width) + streams.reshape(1, -1, 1))
+    values >>= _FRACTION_SHIFT
+    uniforms = values.view(np.int64).astype(np.float64)
+    uniforms *= 2.0**-53
+    return uniforms.reshape(rows, keys_u64.size * width)

@@ -205,43 +205,51 @@ def test_replay_outside_strict_scope_is_legal(sanitized):
     assert SHADOW_REGISTRY.consumption(child) == 12
 
 
-def test_estimate_batch_consumption_accounting(sanitized):
-    """Each candidate consumes exactly (T-1)*R uniforms from its derived
-    child stream — identically in the fused kernel and the test oracle."""
+def test_estimate_batch_keyed_blocks_match_oracle(sanitized, monkeypatch):
+    """The fused kernel and the one-bundle-at-a-time oracle walk every
+    candidate on the same keyed uniform block, and agree on the scores."""
+    import repro.core.montecarlo as montecarlo
+    import repro.core.walks as walks
     from repro.core.config import SimRankConfig
-    from repro.core.montecarlo import SingleSourceEstimator
     from repro.graph.generators import cycle_graph
-    from repro.utils.rng import derive_seed
+    from repro.utils.rng import keyed_uniforms
     from tests.kernel_oracle import reference_scores
+
+    blocks = {}
+
+    def recording(kernel):
+        def draw(seed, salt, keys, rows, width):
+            values = keyed_uniforms(seed, salt, keys, rows, width)
+            for b, key in enumerate(np.asarray(keys).tolist()):
+                blocks[kernel][(seed, salt, key)] = values[:, b * width : (b + 1) * width]
+            return values
+
+        return draw
 
     graph = cycle_graph(8)
     candidates = [1, 2, 5]
     seed, samples = 99, 12
     config = SimRankConfig(T=4, r_pair=samples)
     kernels = {
-        "array": lambda: SingleSourceEstimator(graph, 0, config, seed=seed).estimate_batch(
-            candidates
-        ),
-        "reference": lambda: reference_scores(graph, 0, config, seed)(candidates, samples),
+        "array": (montecarlo, lambda: montecarlo.SingleSourceEstimator(
+            graph, 0, config, seed=seed).estimate_batch(candidates)),
+        "reference": (walks, lambda: reference_scores(graph, 0, config, seed)(
+            candidates, samples)),
     }
 
-    consumption = {}
-    for kernel, run in kernels.items():
-        reset()
-        scores = run()
-        per_child = {
-            v: SHADOW_REGISTRY.consumption(derive_seed(seed, v, samples))
-            for v in candidates
-        }
-        assert all(
-            count == (config.T - 1) * samples for count in per_child.values()
-        ), per_child
-        consumption[kernel] = (per_child, scores.tolist())
+    scores = {}
+    for kernel, (module, run) in kernels.items():
+        blocks[kernel] = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "keyed_uniforms", recording(kernel))
+            scores[kernel] = run()
 
-    assert consumption["array"][0] == consumption["reference"][0]
-    np.testing.assert_allclose(
-        consumption["array"][1], consumption["reference"][1], rtol=1e-12
-    )
+    expected_keys = {(seed, samples, v) for v in candidates}
+    assert set(blocks["array"]) == set(blocks["reference"]) == expected_keys
+    for key in expected_keys:
+        assert blocks["array"][key].shape == (config.T - 1, samples)
+        np.testing.assert_array_equal(blocks["array"][key], blocks["reference"][key])
+    np.testing.assert_allclose(scores["array"], scores["reference"], rtol=1e-12)
 
 
 # ----------------------------------------------------------------------

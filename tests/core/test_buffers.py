@@ -1,4 +1,4 @@
-"""Zero-copy buffer transport of graph / index / sketch artefacts.
+"""Zero-copy buffer transport of graph / index artefacts.
 
 ``to_buffers()`` / ``from_buffers()`` are the shared-memory transport
 contract of :mod:`repro.shard`: an exporter packs the payload into flat
@@ -16,7 +16,6 @@ import pytest
 from repro.core.config import SimRankConfig
 from repro.core.engine import SimRankEngine
 from repro.core.index import CandidateIndex
-from repro.core.walks import FlatSketch, WalkEngine
 from repro.errors import GraphFormatError, SerializationError
 from repro.graph.csr import CSRGraph
 
@@ -129,27 +128,3 @@ class TestIndexBuffers:
         with pytest.raises(SerializationError):
             CandidateIndex.from_buffers(index.config, index.n, buffers)
 
-
-class TestSketchBuffers:
-    def test_round_trip_zero_copy_and_identical(self, module_web_graph):
-        engine = WalkEngine(module_web_graph, seed=5)
-        sketch = FlatSketch(engine.walk_matrix(3, R=32, T=6))
-        buffers = sketch.to_buffers()
-        rebuilt = FlatSketch.from_buffers(sketch.T, sketch.R, buffers)
-        assert rebuilt.T == sketch.T and rebuilt.R == sketch.R
-        for key, array in rebuilt.to_buffers().items():
-            assert np.shares_memory(array, buffers[key]), key
-        for t in range(sketch.T):
-            for got, ref in zip(rebuilt.row(t), sketch.row(t)):
-                np.testing.assert_array_equal(got, ref)
-            assert rebuilt.alive_fraction(t) == sketch.alive_fraction(t)
-
-    def test_offset_shape_checked(self, module_web_graph):
-        engine = WalkEngine(module_web_graph, seed=5)
-        sketch = FlatSketch(engine.walk_matrix(3, R=8, T=4))
-        with pytest.raises(ValueError):
-            FlatSketch.from_buffers(sketch.T + 1, sketch.R, sketch.to_buffers())
-        buffers = sketch.to_buffers()
-        del buffers["counts"]
-        with pytest.raises(ValueError):
-            FlatSketch.from_buffers(sketch.T, sketch.R, buffers)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.walks import DEAD, WalkEngine, sketch_from_walks
 from repro.errors import VertexError
 from repro.graph.generators import cycle_graph, path_graph, star_graph
+from repro.utils.rng import keyed_uniforms
 
 
 class TestStepping:
@@ -165,10 +166,9 @@ class TestStepGiven:
         engine = WalkEngine(social_graph)
         R, T = 7, 5
         singles = [
-            engine.walk_matrix_seeded(v, R, T, seed=100 + v) for v in (0, 3, 9)
+            engine.walk_matrix_seeded(v, R, T, seed=100, salt=R) for v in (0, 3, 9)
         ]
-        rngs = [np.random.default_rng(100 + v) for v in (0, 3, 9)]
-        uniforms = np.concatenate([rng.random((T - 1, R)) for rng in rngs], axis=1)
+        uniforms = keyed_uniforms(100, R, [0, 3, 9], T - 1, R)
         fused = np.empty((T, 3 * R), dtype=np.int64)
         fused[0] = np.repeat([0, 3, 9], R)
         for t in range(1, T):
@@ -187,8 +187,8 @@ class TestStepGiven:
         from repro.core.walks import WalkEngine
 
         engine = WalkEngine(social_graph)
-        a = engine.walk_matrix_seeded(2, 10, 5, seed=3)
-        b = engine.walk_matrix_seeded(2, 10, 5, seed=3)
+        a = engine.walk_matrix_seeded(2, 10, 5, seed=3, salt=29)
+        b = engine.walk_matrix_seeded(2, 10, 5, seed=3, salt=29)
         np.testing.assert_array_equal(a, b)
 
 
@@ -220,6 +220,53 @@ class TestFlatKernels:
             np.testing.assert_array_equal(values, sorted_values[starts])
             np.testing.assert_array_equal(counts, expected)
             assert counts.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "bundle",
+        [
+            "web",  # a live bundle on a graph with dead ends
+            "path",  # every walk dies: the last steps are empty
+            "all_dead_middle",  # an empty step between live ones
+            "single_step",
+            "no_walks",
+        ],
+    )
+    def test_one_sort_build_matches_per_row_encode(self, web_graph, bundle):
+        """The one-sort build is bit-identical to encoding each step row
+        on its own: same vertices, counts, offsets and keys, same dtypes."""
+        from repro.core.walks import FlatSketch, WalkEngine, run_length_encode
+
+        if bundle == "web":
+            matrix = WalkEngine(web_graph, seed=4).walk_matrix(5, 64, 9)
+        elif bundle == "path":
+            matrix = WalkEngine(path_graph(4), seed=4).walk_matrix(3, 20, 7)
+        elif bundle == "all_dead_middle":
+            matrix = np.array([[2, 2, 7], [DEAD, DEAD, DEAD], [1, DEAD, 1], [0, 3, 0]])
+        elif bundle == "single_step":
+            matrix = np.array([[6, 1, 6, 6]])
+        else:
+            matrix = np.empty((4, 0), dtype=np.int64)
+        sketch = FlatSketch(matrix)
+
+        vertex_rows, count_rows, offsets = [], [], [0]
+        for row in np.asarray(matrix, dtype=np.int64):
+            vertices, counts = run_length_encode(np.sort(row[row >= 0]))
+            vertex_rows.append(vertices)
+            count_rows.append(counts)
+            offsets.append(offsets[-1] + vertices.size)
+        steps = np.repeat(np.arange(len(vertex_rows), dtype=np.int64), np.diff(offsets))
+        expected = {
+            "vertices": np.concatenate(vertex_rows),
+            "counts": np.concatenate(count_rows),
+            "offsets": np.asarray(offsets, dtype=np.int64),
+        }
+        expected["keys"] = (steps << 32) | expected["vertices"]
+        for name, array in expected.items():
+            got = getattr(sketch, name)
+            assert got.dtype == array.dtype, name
+            np.testing.assert_array_equal(got, array, err_msg=name)
+        if bundle in ("path", "all_dead_middle"):
+            assert np.any(np.diff(sketch.offsets) == 0)  # an empty step is covered
 
     def test_segment_collisions_matches_flat_sketch(self, social_graph):
         from repro.core.walks import FlatSketch, WalkEngine, segment_collisions

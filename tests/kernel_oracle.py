@@ -12,7 +12,7 @@ against it (``benchmarks/bench_micro_kernels.py``):
 - :func:`reference_single_pair` — Algorithm 1 on dict sketches, drawing
   walks in :func:`~repro.core.montecarlo.single_pair_simrank`'s order;
 - :func:`reference_scores` — a score source ``scores(vertices, R)`` for
-  :func:`~repro.core.query.scan`, one derived-seed bundle per candidate;
+  :func:`~repro.core.query.scan`, one keyed-block bundle per candidate;
 - :func:`reference_signatures` — Algorithm 4 one vertex at a time.
 """
 
@@ -27,7 +27,7 @@ from repro.core.index import _signatures_from_block
 from repro.core.linear import DiagonalLike, resolve_diagonal
 from repro.core.walks import WalkEngine
 from repro.graph.csr import CSRGraph
-from repro.utils.rng import SeedLike, derive_seed, ensure_rng
+from repro.utils.rng import SeedLike, ensure_rng, root_seed
 
 __all__ = [
     "PositionSketch",
@@ -113,15 +113,16 @@ def reference_scores(
     graph: CSRGraph,
     u: int,
     config: SimRankConfig,
-    seed: Optional[int],
+    seed: int,
     diagonal: DiagonalLike = None,
 ) -> Callable[[Sequence[int], int], np.ndarray]:
     """Score source for :func:`~repro.core.query.scan`, one bundle at a time.
 
     u's sketch comes from the first ``r_pair`` walks of ``seed``'s stream
-    and candidate v's R-walk bundle from ``derive_seed(seed, v, R)`` —
-    the draws of :class:`~repro.core.montecarlo.SingleSourceEstimator`
-    built with the same seed (a query plan's ``score_seed``).
+    and candidate v's R-walk bundle from
+    ``walk_matrix_seeded(v, R, T, seed, salt=R)`` — the draws of
+    :class:`~repro.core.montecarlo.SingleSourceEstimator` built with the
+    same int seed (a query plan's ``score_seed``).
     """
     engine = WalkEngine(graph, ensure_rng(seed))
     sketch_u = PositionSketch(engine.walk_matrix(u, config.r_pair, config.T))
@@ -131,7 +132,7 @@ def reference_scores(
         values = np.ones(len(vertices))
         for i, v in enumerate(int(v) for v in vertices):
             if v != u:
-                bundle = engine.walk_matrix_seeded(v, R, config.T, derive_seed(seed, v, R))
+                bundle = engine.walk_matrix_seeded(v, R, config.T, seed, R)
                 values[i] = reference_series(sketch_u, PositionSketch(bundle), config.c, d)[0]
         return values
 
@@ -146,12 +147,12 @@ def reference_signatures(
 ) -> List[List[int]]:
     """Algorithm 4 vertex by vertex, each from its own seeded bundle."""
     targets = [int(u) for u in (range(graph.n) if vertices is None else vertices)]
-    base_seed = seed if (seed is None or isinstance(seed, int)) else derive_seed(seed)
+    base_seed = root_seed(seed)
     engine = WalkEngine(graph)
     width = config.index_walks * (1 + config.index_checks)
     return [
         _signatures_from_block(
-            engine.walk_matrix_seeded(u, width, config.T, derive_seed(base_seed, 29, u)),
+            engine.walk_matrix_seeded(u, width, config.T, base_seed, 29),
             [u],
             config,
         )[0]

@@ -1,6 +1,6 @@
 """Analyzer wall time: cold vs. warm incremental-lint cache.
 
-The full ``repro lint --flow`` pass (R1-R12 over ``src/``) is priced
+The full ``repro lint`` pass (every rule over ``src/``) is priced
 into every CI run and every pre-commit hook, so its wall time is a
 budget the analysis layer must keep.  This benchmark runs the exact CI
 invocation twice against a fresh ``.repro-lint-cache/`` directory — a
@@ -34,7 +34,7 @@ SPEEDUP_FLOOR = 2.0
 def _timed_lint(cache_dir: Path):
     start = time.perf_counter()
     cache = LintCache(cache_dir)
-    report = run_analysis([SRC_ROOT], root=SRC_ROOT, flow=True, cache=cache)
+    report = run_analysis([SRC_ROOT], root=SRC_ROOT, cache=cache)
     return report, time.perf_counter() - start
 
 
@@ -59,7 +59,6 @@ class TestLintWallTime:
             "lint",
             {
                 "tree": {"root": "src", "python_files": n_files},
-                "flow": True,
                 "cold_seconds": cold_seconds,
                 "warm_seconds": warm_seconds,
                 "speedup": speedup,

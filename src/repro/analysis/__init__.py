@@ -8,26 +8,20 @@ turns them into machine-checked rules (``repro lint``):
 
 - **R1 lock-discipline** — attributes declared ``# locked-by: <lock>``
   may only be accessed inside ``with self.<lock>:``.
-- **R2 snapshot-immutability** — live ``CandidateIndex`` /
-  ``EngineSnapshot`` state is never mutated; writes go through
-  ``.clone()``.
 - **R3 seeded-rng** — Monte-Carlo code threads seeded numpy Generators;
   module-level ``np.random.*`` and stdlib ``random`` are banned.
 - **R4 hot-path-obs-guard** — recording hooks in the query path sit
   inside ``if obs.OBS.enabled:``.
-- **R5 dtype-contracts** — public kernels declare array dtypes with
-  :func:`repro.utils.contracts.contract`; declarations and call sites
-  are cross-validated.
 
-Behind ``--flow``, the interprocedural rules of
-:mod:`repro.analysis.flow` (call graph + lock model):
+and the interprocedural rules of :mod:`repro.analysis.flow` (call
+graph + lock model + array facts):
 
 - **R6 lock-order** — all code paths must agree on one global lock
   acquisition order (static deadlock detection).
 - **R7 rng-purity** — a live numpy Generator never crosses a
   thread/process dispatch boundary; seeds do.
-- **R8 snapshot-escape** — published snapshots never flow into a call
-  that mutates them.
+- **R8 snapshot-escape** — published snapshots are never stored into
+  and never flow into a call that mutates them.
 - **R9 event-loop-hygiene** — coroutines never block the serve loop
   (directly or through sync helpers) and never await under a thread
   lock.
@@ -39,6 +33,16 @@ Behind ``--flow``, the interprocedural rules of
   reads, and every arm has a sender.
 - **R12 metrics-catalog** — instruments created in code and entries in
   :data:`repro.obs.catalog.CATALOG` agree exactly, both directions.
+- **R13-R15** — shape conformance, index-dtype discipline and hot-path
+  allocation hygiene over inferred array facts.
+- **R16 contract-drift** — :func:`repro.utils.contracts.contract`
+  declarations are literal, parse, name real parameters, sit on the
+  designated kernels, and agree with the inferred facts at the body
+  and at every call site.
+
+Every run runs every rule; ``--select``/``--ignore`` narrow it.  R2
+and R5 are retired ids (their live checks moved into R8 and R16) and
+are never reused.
 
 Per-line waivers: ``# repro: noqa R<N> -- reason`` (reason required;
 a waiver that suppresses nothing is itself flagged as stale).

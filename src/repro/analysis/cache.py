@@ -3,18 +3,17 @@
 Two tiers, both keyed by *content*, never by timestamps:
 
 - **Tier 1 — whole invocation.**  The key digests the analyzer's own
-  sources, the invocation shape (``flow``/``only``/``ignore``/scope
-  overrides),
+  sources, the invocation shape (``only``/``ignore``/scope overrides),
   and every ``(rel path, file sha)`` pair.  An unchanged tree is a
-  single JSON read — this is what makes the warm ``repro lint --flow``
-  run a multiple faster than the cold one (asserted in tests, recorded
-  in ``BENCH_lint.json``).
+  single JSON read — this is what makes the warm ``repro lint`` run a
+  multiple faster than the cold one (asserted in tests, recorded in
+  ``BENCH_lint.json``).
 - **Tier 2 — per file, per rule.**  Only rules with no cross-file
   ``prepare`` phase qualify (detected structurally:
   ``type(rule).prepare is Rule.prepare``); their ``check`` output on a
   file depends on that file's bytes alone, so edited trees re-analyze
-  only the changed files under R1–R4.  The whole-program rules (R5's
-  call-site census and the flow rules' :class:`ProjectIndex`) are
+  only the changed files under R1, R3 and R4.  The whole-program rules
+  (R6–R16, built on the flow package's :class:`ProjectIndex`) are
   *deliberately excluded*: one changed file can move their findings in
   any other file, so they re-run whenever tier 1 misses.
 
@@ -112,13 +111,12 @@ class LintCache:
     @staticmethod
     def invocation_key(
         file_shas: Sequence[Tuple[str, str]],
-        flow: bool,
         only: Optional[Sequence[str]],
         scopes_sig: str,
         ignore: Optional[Sequence[str]] = None,
     ) -> str:
         hasher = hashlib.sha256(analyzer_digest().encode())
-        hasher.update(f"flow={flow};only={sorted(only) if only else None};".encode())
+        hasher.update(f"only={sorted(only) if only else None};".encode())
         hasher.update(f"ignore={sorted(ignore) if ignore else None};".encode())
         hasher.update(scopes_sig.encode())
         for rel, sha in sorted(file_shas):

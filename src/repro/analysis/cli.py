@@ -28,9 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "Project-specific static analysis: lock discipline (R1), snapshot "
-            "immutability (R2), seeded RNG (R3), hot-path obs guards (R4), "
-            "dtype contracts (R5); with --flow also the interprocedural "
+            "Project-specific static analysis: lock discipline (R1), seeded "
+            "RNG (R3), hot-path obs guards (R4), and the interprocedural "
             "rules: lock-order consistency (R6), RNG-stream purity (R7), "
             "snapshot escape analysis (R8), event-loop hygiene (R9), "
             "resource lifecycle (R10), pipe-protocol conformance (R11), "
@@ -50,14 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules",
         dest="rules",
         default=None,
-        metavar="R1,R2,...",
+        metavar="R1,R3,...",
         help="comma-separated rule ids to run (default: all; "
         "--rules is the legacy spelling)",
     )
     parser.add_argument(
         "--ignore",
         default=None,
-        metavar="R1,R2,...",
+        metavar="R1,R3,...",
         help="comma-separated rule ids to drop from the selected set",
     )
     parser.add_argument(
@@ -65,11 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="directory findings are rendered relative to (default: cwd)",
-    )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help="also run the interprocedural flow rules R6-R12",
     )
     parser.add_argument(
         "--format",
@@ -107,22 +101,13 @@ def _finding_dict(finding: Finding) -> dict:
     }
 
 
-def _active_rules(flow: bool) -> list:
-    rules = list(all_rules())
-    if flow:
-        from repro.analysis.flow import flow_rules
-
-        rules.extend(flow_rules())
-    return rules
-
-
 def _emit(report: LintReport, options: argparse.Namespace) -> int:
     if options.output_format == "sarif":
         from repro.analysis.sarif import to_sarif
 
         log = to_sarif(
             report.findings,
-            _active_rules(options.flow),
+            all_rules(),
             suppressed=report.suppressed if options.show_suppressed else None,
         )
         print(json.dumps(log, indent=2))
@@ -164,18 +149,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     options = parser.parse_args(argv)
 
     if options.explain:
-        for rule in _active_rules(flow=True):
+        for rule in all_rules():
             print(f"{rule.id}  {rule.name}: {rule.summary}")
         return 0
 
     def _parse_ids(raw: Optional[str], flag: str) -> Optional[List[str]]:
         if not raw:
             return None
-        from repro.analysis.flow import flow_rules
-
         ids = [part.strip() for part in raw.split(",") if part.strip()]
         known = {rule.id for rule in all_rules()} | {"R0"}
-        known |= {rule.id for rule in flow_rules()}
         unknown = [rule_id for rule_id in ids if rule_id not in known]
         if unknown:
             parser.error(f"unknown rule id(s) in {flag}: {', '.join(unknown)}")
@@ -195,8 +177,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cache = LintCache((root or Path.cwd()) / CACHE_DIR_NAME)
     try:
         report = run_analysis(
-            paths, root=root, only=only, ignore=ignore, flow=options.flow,
-            cache=cache,
+            paths, root=root, only=only, ignore=ignore, cache=cache
         )
     except Exception as exc:  # noqa: BLE001 - anything except SystemExit
         # An analyzer crash must never look like a clean run: print the

@@ -87,12 +87,6 @@ class Suppressions:
         """Every line carrying a noqa directive."""
         return sorted(self._by_line)
 
-    def rules_on(self, line: int) -> Optional[Set[str]]:
-        """Rule ids a line's directive names (None = blanket, or no
-        directive on that line)."""
-        directive = self._by_line.get(line)
-        return directive.rules if directive is not None else None
-
     def __len__(self) -> int:
         return len(self._by_line)
 

@@ -10,8 +10,8 @@ resource-lifecycle typestate (R10), shard pipe-protocol conformance
 rules built on the shape/dtype abstract interpreter
 (:mod:`~repro.analysis.flow.arrayflow`): shape/broadcast conformance
 (R13), index-dtype discipline (R14), hot-path allocation hygiene
-(R15), and contract drift (R16).  They run behind ``repro lint
---flow`` — strictly additive to the default rule set.
+(R15), and contract drift (R16).  :func:`repro.analysis.rules.all_rules`
+registers them next to the per-file rules, so every run runs them.
 """
 
 from __future__ import annotations

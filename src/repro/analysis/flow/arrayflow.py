@@ -18,8 +18,8 @@ interpreter runs the body over a three-point domain per value —
   ``"alloc-default"`` (``np.zeros``/``ones``/``empty`` with no dtype —
   float64, poison as an index).
 
-Facts come from ``@contract`` declarations (parsed statically, same
-grammar the runtime enforces), numpy constructor calls, ``.astype``,
+Facts come from ``@contract`` declarations (read statically and parsed
+by the runtime's own :func:`~repro.utils.contracts.parse_spec`), numpy constructor calls, ``.astype``,
 shape-preserving transforms, and — interprocedurally — per-function
 *return summaries* iterated to fixpoint over the call graph: a call to
 a project function whose return fact is known propagates that fact to
@@ -62,6 +62,8 @@ from typing import (
 
 from repro.analysis.flow.graph import FunctionInfo, ProjectIndex, flow_index
 from repro.analysis.source import SourceFile, attribute_chain
+from repro.errors import ContractViolationError
+from repro.utils.contracts import KNOWN_DTYPES, ArraySpec, parse_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.runner import Project
@@ -71,12 +73,12 @@ __all__ = [
     "ArrayFlowIndex",
     "FunctionFacts",
     "StaticContract",
-    "StaticSpec",
     "arrayflow_index",
     "broadcast_conflict",
     "header_lines",
     "marked_hot_path",
     "parse_contract_decorator",
+    "spec_fact",
 ]
 
 #: one dimension: concrete extent, symbol spelling, or unknown.
@@ -84,18 +86,6 @@ Dim = Union[int, str, None]
 Shape = Tuple[Dim, ...]
 
 _HOT_PATH_RE = re.compile(r"(?:^|\s)#\s*hot-path\s*$")
-
-#: dtype names a spec/constructor may state (mirrors contracts.KNOWN_DTYPES
-#: without importing the runtime module into every analysis pass).
-_KNOWN_DTYPES = frozenset(
-    {
-        "bool",
-        "int8", "int16", "int32", "int64",
-        "uint8", "uint16", "uint32", "uint64",
-        "float16", "float32", "float64",
-        "complex64", "complex128",
-    }
-)
 
 #: ``np.<name>`` dtype spellings that are platform-dependent C types.
 PLATFORM_INT_NAMES = frozenset({"int_", "intc", "long", "longlong", "short"})
@@ -109,9 +99,6 @@ _RANK1 = frozenset({"flatnonzero", "bincount", "diff", "ravel", "unique"})
 #: rng method names that draw float64 arrays shaped by their first arg.
 _RNG_METHODS = frozenset({"random", "standard_normal", "uniform"})
 
-_SPEC_RE = re.compile(r"^(?P<dtype>[a-z0-9_]+)(?:\[(?P<shape>[^\[\]]+)\])?$")
-_NDIM_RE = re.compile(r"^(?P<ndim>\d+)d$")
-_DIM_RE = re.compile(r"^(?:[A-Za-z_][A-Za-z0-9_]*|\d+)$")
 
 
 class ArrayFact:
@@ -206,65 +193,28 @@ def broadcast_conflict(
 # ----------------------------------------------------------------------
 
 
-class StaticSpec:
-    """One parsed spec string, as the analyzer sees it (no runtime import)."""
-
-    __slots__ = ("dtype", "ndim", "dims")
-
-    def __init__(
-        self, dtype: str, ndim: Optional[int], dims: Optional[Tuple[Union[int, str], ...]]
-    ) -> None:
-        self.dtype = dtype
-        self.ndim = ndim
-        self.dims = dims
-
-    def describe(self) -> str:
-        if self.dims is not None:
-            return f"{self.dtype}[{', '.join(str(d) for d in self.dims)}]"
-        return self.dtype if self.ndim is None else f"{self.dtype}[{self.ndim}d]"
-
-    def symbols(self) -> Tuple[str, ...]:
-        if self.dims is None:
-            return ()
-        return tuple(d for d in self.dims if isinstance(d, str))
-
-    def fact(self) -> ArrayFact:
-        shape: Optional[Shape] = None
-        if self.dims is not None:
-            shape = tuple(self.dims)
-        elif self.ndim is not None:
-            shape = (None,) * self.ndim
-        return ArrayFact(dtype=self.dtype, shape=shape)
-
-
-def _parse_spec(text: str) -> Optional[StaticSpec]:
-    match = _SPEC_RE.match(text)
-    if match is None or match.group("dtype") not in _KNOWN_DTYPES:
-        return None
-    dtype, shape = match.group("dtype"), match.group("shape")
-    if shape is None:
-        return StaticSpec(dtype, None, None)
-    ndim_match = _NDIM_RE.match(shape.strip())
-    if ndim_match is not None:
-        return StaticSpec(dtype, int(ndim_match.group("ndim")), None)
-    dims: List[Union[int, str]] = []
-    for token in shape.split(","):
-        token = token.strip()
-        if not token or _DIM_RE.match(token) is None:
-            return None
-        dims.append(int(token) if token.isdigit() else token)
-    return StaticSpec(dtype, len(dims), tuple(dims))
+def spec_fact(spec: ArraySpec) -> ArrayFact:
+    """The fact a declared spec guarantees about its value."""
+    shape: Optional[Shape] = None
+    if spec.dims is not None:
+        shape = tuple(spec.dims)
+    elif spec.ndim is not None:
+        shape = (None,) * spec.ndim
+    return ArrayFact(dtype=spec.dtype, shape=shape)
 
 
 class StaticContract:
     """The ``@contract(...)`` declaration on one function, parsed."""
 
-    __slots__ = ("node", "params", "returns")
+    __slots__ = ("node", "params", "returns", "problems")
 
     def __init__(self, node: ast.Call) -> None:
         self.node = node
-        self.params: Dict[str, StaticSpec] = {}
-        self.returns: Optional[StaticSpec] = None
+        self.params: Dict[str, ArraySpec] = {}
+        self.returns: Optional[ArraySpec] = None
+        #: (node, message) for each entry that cannot be checked: not a
+        #: literal, rejected by ``parse_spec``, or an unknown parameter.
+        self.problems: List[Tuple[ast.AST, str]] = []
 
     def symbols(self) -> Set[str]:
         out: Set[str] = set()
@@ -278,9 +228,9 @@ class StaticContract:
 def parse_contract_decorator(node: "ast.FunctionDef | ast.AsyncFunctionDef") -> Optional[StaticContract]:
     """The :class:`StaticContract` of a decorated function, if any.
 
-    Only literal string specs are readable (R5 flags anything else);
-    malformed specs are skipped silently here — declaring them invalid
-    is R5's job, consuming them is ours.
+    Only literal string specs are readable; every entry that is not one,
+    that ``parse_spec`` rejects, or that names no parameter of ``node``
+    lands in ``problems`` instead of the contract (R16 reports them).
     """
     for decorator in node.decorator_list:
         if not isinstance(decorator, ast.Call):
@@ -293,18 +243,44 @@ def parse_contract_decorator(node: "ast.FunctionDef | ast.AsyncFunctionDef") -> 
         if name != "contract":
             continue
         contract = StaticContract(decorator)
+        args = node.args
+        params = [
+            a.arg
+            for i, a in enumerate([*args.posonlyargs, *args.args, *args.kwonlyargs])
+            if not (i == 0 and a.arg in ("self", "cls"))
+        ]
         for kw in decorator.keywords:
-            if kw.arg is None or not (
-                isinstance(kw.value, ast.Constant) and isinstance(kw.value.value, str)
-            ):
+            if kw.arg is None:
+                contract.problems.append(
+                    (decorator, "@contract specs must be written inline, not **-unpacked")
+                )
                 continue
-            spec = _parse_spec(kw.value.value)
-            if spec is None:
+            if not (isinstance(kw.value, ast.Constant) and isinstance(kw.value.value, str)):
+                contract.problems.append(
+                    (
+                        kw.value,
+                        f"@contract spec for {kw.arg!r} must be a string literal "
+                        "so it can be checked statically",
+                    )
+                )
+                continue
+            try:
+                spec = parse_spec(kw.arg, kw.value.value)
+            except ContractViolationError as exc:
+                contract.problems.append((kw.value, str(exc)))
                 continue
             if kw.arg == "returns":
                 contract.returns = spec
-            else:
+            elif kw.arg in params:
                 contract.params[kw.arg] = spec
+            else:
+                contract.problems.append(
+                    (
+                        kw.value,
+                        f"@contract on {node.name}() names unknown parameter "
+                        f"{kw.arg!r} (has: {', '.join(params) or 'none'})",
+                    )
+                )
         return contract
     return None
 
@@ -378,7 +354,7 @@ class _Evaluator:
         self.np_aliases = set(source.aliases.module_alias_for("numpy"))
         if facts.contract is not None:
             for name, spec in facts.contract.params.items():
-                self.env[name] = spec.fact()
+                self.env[name] = spec_fact(spec)
 
     # -- statements ----------------------------------------------------
 
@@ -539,9 +515,9 @@ class _Evaluator:
     def _dtype_of_expr(self, node: ast.expr) -> Optional[str]:
         """Canonical dtype named by a dtype argument, if literal."""
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value if node.value in _KNOWN_DTYPES else None
+            return node.value if node.value in KNOWN_DTYPES else None
         chain = attribute_chain(node)
-        if chain is not None and chain[-1] in _KNOWN_DTYPES:
+        if chain is not None and chain[-1] in KNOWN_DTYPES:
             return chain[-1]
         return None
 
@@ -830,7 +806,7 @@ class ArrayFlowIndex:
             # Seed summaries with declared returns: the runtime enforces
             # them, so they are facts at call sites from pass one.
             if contract is not None and contract.returns is not None:
-                self._summaries[info.qual] = contract.returns.fact()
+                self._summaries[info.qual] = spec_fact(contract.returns)
             else:
                 self._summaries[info.qual] = None
 

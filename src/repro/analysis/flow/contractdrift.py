@@ -26,12 +26,21 @@ a claim about the body, and the body as evidence about the contract:
 
 Same bargain as the rest of the flow package: every check needs two
 *known*, conflicting facts — unknown stays silent.
+
+Two checks guard the declarations themselves, since a contract the
+analyzer cannot read is one nothing enforces statically:
+
+- **unreadable declarations** — a spec that is not a string literal or
+  is ``**``-unpacked, a spec :func:`~repro.utils.contracts.parse_spec`
+  rejects, and a spec naming a parameter the function does not have;
+- **required contracts** — the kernels in :data:`REQUIRED_CONTRACTS`,
+  whose payload crosses module boundaries, must carry ``@contract``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.flow.arrayflow import (
@@ -45,17 +54,32 @@ from repro.analysis.source import SourceFile
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.runner import Project
 
-__all__ = ["ContractDriftRule"]
+__all__ = ["ContractDriftRule", "REQUIRED_CONTRACTS"]
+
+#: rel-path suffix -> function/method names that must carry @contract.
+REQUIRED_CONTRACTS: Dict[str, Tuple[str, ...]] = {
+    "core/walks.py": (
+        "step",
+        "step_given",
+        "walk_matrix",
+        "walk_matrix_seeded",
+        "walk_matrix_multi",
+        "segment_collisions",
+        "segment_self_collisions",
+    ),
+    "core/bounds.py": ("compute_gamma",),
+}
 
 
 class ContractDriftRule(Rule):
     id = "R16"
     name = "contract-drift"
     summary = (
-        "@contract declarations must agree with inferred facts: returns "
-        "dtype/rank, call-site argument dtypes, array params without "
-        "specs, and mask-coupled parallel arrays without a shared shape "
-        "symbol"
+        "@contract declarations must be literal, parseable and name real "
+        "parameters, the designated kernels must carry one, and each must "
+        "agree with inferred facts: returns dtype/rank, call-site argument "
+        "dtypes, array params without specs, and mask-coupled parallel "
+        "arrays without a shared shape symbol"
     )
 
     def __init__(self) -> None:
@@ -68,11 +92,28 @@ class ContractDriftRule(Rule):
             source = flow.index.source_by_rel.get(facts.info.rel)
             if source is None:
                 continue
-            if facts.contract is not None:
+            if facts.contract is None:
+                self._check_required(facts, source)
+            else:
+                for node, message in facts.contract.problems:
+                    self._emit(source, node, message)
                 self._check_returns(facts, source)
                 self._check_unspecced_params(facts, source)
                 self._check_parallel_arrays(facts, source)
             self._check_call_sites(flow, facts, source)
+
+    # -- declarations ------------------------------------------------
+
+    def _check_required(self, facts: FunctionFacts, source: SourceFile) -> None:
+        rel = facts.info.rel.replace("\\", "/")
+        for suffix, names in REQUIRED_CONTRACTS.items():
+            if rel.endswith(suffix) and facts.info.name in names:
+                self._emit(
+                    source, facts.info.node,
+                    f"kernel `{facts.info.name}` must declare its array dtypes "
+                    "with @contract (repro.utils.contracts) — its payload "
+                    "crosses module boundaries",
+                )
 
     # -- declaration vs body ------------------------------------------
 

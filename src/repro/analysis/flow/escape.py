@@ -1,13 +1,12 @@
 """R8 — escape analysis for published snapshots.
 
-R2 flags direct mutation of index payload, but only where it can *see*
-the receiver's type (annotations, owner classes).  The gap it leaves:
-a value captured from ``handle.current()`` flows through a few local
-names and into a helper that mutates its parameter — every step looks
-innocent locally, and the sum corrupts a published snapshot that
-concurrent readers are scoring against.
+In-flight queries score against a published snapshot while the writer
+builds the next one; a single store into the live one corrupts answers
+for every concurrent reader, silently.  Often no single step looks
+wrong: a value captured from ``handle.current()`` flows through a few
+local names and into a helper that mutates its parameter.
 
-R8 closes the gap with whole-program taint:
+R8 tracks that flow with whole-program taint:
 
 - **sources** — results of ``.current()`` and shared-memory
   ``.attach()`` calls, reads of a ``._snapshot`` attribute, and
@@ -19,13 +18,14 @@ R8 closes the gap with whole-program taint:
   segment it maps);
 - **blessed copies** — ``.clone()`` results and snapshot-class
   constructor calls are clean (they are the sanctioned write path);
-- **sinks** — passing a tainted value to a project function whose
-  parameter is *mutated* (directly or transitively — summaries to
-  fixpoint over the call graph), calling a resolved method that
-  mutates ``self`` on a tainted receiver, and storing a tainted value
-  into a ``global``-declared name.
+- **sinks** — an attribute or subscript store (plain or augmented)
+  into a tainted receiver, passing a tainted value to a project
+  function whose parameter is *mutated* (directly or transitively —
+  summaries to fixpoint over the call graph), calling a resolved
+  method that mutates ``self`` on a tainted receiver, and storing a
+  tainted value into a ``global``-declared name.
 
-Findings fire at the escaping call/store site.
+Findings fire at the escaping store/call site.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ from repro.analysis.findings import Finding
 from repro.analysis.flow.graph import FunctionInfo, ProjectIndex, flow_index
 from repro.analysis.flow.taint import LocalTaint, TaintDomain
 from repro.analysis.rules import Rule
-from repro.analysis.rules.snapshots import (
-    CONTAINER_MUTATORS,
-    INDEX_MUTATORS,
-    _payload_target,
-)
 from repro.analysis.source import SourceFile, attribute_chain
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,6 +57,12 @@ SNAPSHOT_CLASSES = (
     "FlatSketch",
     "GammaTable",
     "SharedArrayBundle",
+)
+
+#: Container methods that mutate their receiver.
+CONTAINER_MUTATORS = (
+    "append", "extend", "insert", "remove", "pop", "popitem",
+    "clear", "update", "setdefault", "sort", "reverse", "fill",
 )
 
 
@@ -107,21 +108,16 @@ def _direct_mutations(info: FunctionInfo) -> Set[str]:
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                payload = _payload_target(target)
-                if payload is not None:
-                    root = payload[0][0]
-                elif isinstance(target, (ast.Attribute, ast.Subscript)):
-                    stripped = target
-                    while isinstance(stripped, ast.Subscript):
-                        stripped = stripped.value
-                    root = _chain_root(stripped)
-                else:
+                if not isinstance(target, (ast.Attribute, ast.Subscript)):
                     continue
+                stripped = target
+                while isinstance(stripped, ast.Subscript):
+                    stripped = stripped.value
+                root = _chain_root(stripped)
                 if root in params:
                     mutated.add(root)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            method = node.func.attr
-            if method in INDEX_MUTATORS or method in CONTAINER_MUTATORS:
+            if node.func.attr in CONTAINER_MUTATORS:
                 root = _chain_root(node.func.value)
                 if root in params:
                     mutated.add(root)
@@ -181,8 +177,8 @@ class SnapshotEscapeRule(Rule):
     summary = (
         "a published snapshot (EngineSnapshot/CandidateIndex/FlatSketch/"
         "GammaTable) or shared-memory attachment (SharedArrayBundle) must "
-        "not escape into a call that mutates it — patch a `.clone()` and "
-        "publish a new snapshot instead"
+        "not be stored into or escape into a call that mutates it — patch "
+        "a `.clone()` and publish a new snapshot instead"
     )
 
     def __init__(self) -> None:
@@ -256,6 +252,26 @@ class SnapshotEscapeRule(Rule):
                             "— pass a `.clone()` instead (escape analysis)"
                         ),
                     )
+        # A store into a tainted receiver writes the published object.
+        for node in ast.walk(info.node):
+            if isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(
+                        target, (ast.Attribute, ast.Subscript)
+                    ) and taint.expr_tainted(target.value):
+                        yield Finding(
+                            rule=self.id,
+                            path=info.rel,
+                            line=node.lineno,
+                            col=node.col_offset,
+                            message=(
+                                f"store into `{ast.unparse(target)}` in `{short}` "
+                                "writes a live snapshot that concurrent readers "
+                                "score against — patch a `.clone()` and publish "
+                                "a new snapshot instead"
+                            ),
+                        )
         # Stores into explicitly-global names pin a snapshot beyond its
         # request/batch scope.
         global_names: Set[str] = set()

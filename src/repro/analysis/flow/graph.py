@@ -1,16 +1,15 @@
-"""The whole-program view behind the flow rules (R6–R8).
+"""The whole-program view behind the flow rules (R6–R16).
 
-Where the per-file rules (R1–R5) each walk one AST, the flow rules need
-facts that only exist across files: who calls whom, which attribute is
-a lock, what a function does to its parameters.  :class:`ProjectIndex`
+Where the per-file rules (R1, R3, R4) each walk one AST, the flow rules
+need facts that only exist across files: who calls whom, which attribute
+is a lock, what a function does to its parameters.  :class:`ProjectIndex`
 computes those once per lint run (memoised on the
-:class:`~repro.analysis.runner.Project`) and the three rules read it.
+:class:`~repro.analysis.runner.Project`) and the flow rules read it.
 
-Everything here is *name-based and precision-first*, the same bargain
-R5 strikes for dtype contracts: an edge or resolution is only recorded
-when the name is unambiguous (``self.m()`` inside the defining class, a
-module alias from the import table, a method name defined by exactly
-one class project-wide).  Ambiguity means silence, never a guess — a
+Everything here is *name-based and precision-first*: an edge or
+resolution is only recorded when the name is unambiguous (``self.m()``
+inside the defining class, a module alias from the import table, a
+method name defined by exactly one class project-wide).  Ambiguity means silence, never a guess — a
 whole-program rule that cries wolf is deleted within a month.
 
 Vocabulary:

@@ -1,14 +1,18 @@
 """Rule registry of the project linter.
 
-Each rule is a class with a stable ``id`` (``R1``..``R5``), a short
-``name``, and a ``check(project, source)`` generator yielding
-:class:`~repro.analysis.findings.Finding`.  Rules that need cross-file
-state (R5 validates call sites against contracts declared elsewhere)
-implement ``prepare(project)``, called once before any ``check``.
+Each rule is a class with a stable ``id``, a short ``name``, and a
+``check(project, source)`` generator yielding
+:class:`~repro.analysis.findings.Finding`.  This package holds the
+per-file rules (R1, R3, R4); the whole-program rules (R6-R16) live in
+:mod:`repro.analysis.flow` and implement ``prepare(project)``, called
+once before any ``check``.  :func:`all_rules` registers both, and every
+run runs every registered rule unless ``--select``/``--ignore`` narrow it.
 
 The registry is ordered and append-only: rule ids are referenced from
 ``# repro: noqa R<N>`` comments in source, so renumbering would silently
-invalidate existing waivers.
+invalidate existing waivers.  Retired ids are never reused: R2
+(snapshot immutability; its snapshot-store check now runs under R8) and
+R5 (dtype contracts; its declaration checks now run under R16).
 """
 
 from __future__ import annotations
@@ -44,17 +48,10 @@ class Rule:
 
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, in id order."""
-    from repro.analysis.rules.contracts import ContractRule
+    from repro.analysis.flow import flow_rules
     from repro.analysis.rules.locks import LockDisciplineRule
     from repro.analysis.rules.obsguard import ObsGuardRule
     from repro.analysis.rules.rng import SeededRngRule
-    from repro.analysis.rules.snapshots import SnapshotImmutabilityRule
 
-    ordered: List[Type[Rule]] = [
-        LockDisciplineRule,
-        SnapshotImmutabilityRule,
-        SeededRngRule,
-        ObsGuardRule,
-        ContractRule,
-    ]
-    return [rule() for rule in ordered]
+    ordered: List[Type[Rule]] = [LockDisciplineRule, SeededRngRule, ObsGuardRule]
+    return [rule() for rule in ordered] + flow_rules()

@@ -4,7 +4,10 @@ A :class:`Project` is the set of parsed :class:`SourceFile` objects the
 rules operate on.  Each rule runs only over the files its invariant
 governs (:data:`DEFAULT_SCOPES`): lock discipline is a serve-layer
 contract, the RNG rule governs the Monte-Carlo code, the hot-path obs
-guard applies to the three query-path modules.  Scope patterns are
+guard applies to the three query-path modules, and the whole-program
+rules analyse every file but report only inside their scope.  Every
+run runs every registered rule (:func:`repro.analysis.rules.all_rules`)
+unless ``only``/``ignore`` narrow it.  Scope patterns are
 :mod:`fnmatch` globs matched against the repo-relative posix path, with
 an implicit ``*/`` prefix so the same patterns work from any checkout
 root (and from test fixtures that mimic the layout).
@@ -35,7 +38,6 @@ __all__ = [
 #: rule id -> path globs the rule applies to (posix, repo-relative).
 DEFAULT_SCOPES: Dict[str, Tuple[str, ...]] = {
     "R1": ("serve/*.py", "core/dynamic.py", "workloads.py"),
-    "R2": ("core/*.py", "serve/*.py", "workloads.py", "experiments/*.py"),
     "R3": (
         "core/*.py",
         "baselines/*.py",
@@ -43,8 +45,7 @@ DEFAULT_SCOPES: Dict[str, Tuple[str, ...]] = {
         "experiments/*.py",
     ),
     "R4": ("core/query.py", "core/walks.py", "core/montecarlo.py"),
-    "R5": ("*.py",),
-    # Flow rules (R6-R12) are whole-program: prepare() analyses every
+    # Flow rules (R6-R16) are whole-program: prepare() analyses every
     # parsed file; the scope only controls where findings may land.
     "R6": ("*.py",),
     "R7": ("*.py",),
@@ -150,7 +151,6 @@ def run_analysis(
     only: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     scopes: Optional[Dict[str, Tuple[str, ...]]] = None,
-    flow: bool = False,
     cache: Optional[LintCache] = None,
 ) -> LintReport:
     """Run the project linter and return the full :class:`LintReport`.
@@ -158,15 +158,11 @@ def run_analysis(
     ``only`` restricts to a set of rule ids and ``ignore`` drops ids
     from whatever set would otherwise run (``--select``/``--ignore`` on
     the CLI); ``scopes`` overrides :data:`DEFAULT_SCOPES` (useful in
-    tests to point one rule at a fixture file regardless of its name);
-    ``flow`` adds the whole-program rules R6-R16
-    (:func:`repro.analysis.flow.flow_rules`).  ``cache`` enables the
-    content-keyed incremental store
+    tests to point one rule at a fixture file regardless of its name).
+    ``cache`` enables the content-keyed incremental store
     (:class:`repro.analysis.cache.LintCache`); it is ignored when
     ``rules`` passes custom rule objects, which cannot be content-keyed.
     """
-    from repro.analysis.flow import flow_rules
-
     root = root or Path.cwd()
     only = list(only) if only is not None else None
     ignore = list(ignore) if ignore is not None else None
@@ -189,7 +185,7 @@ def run_analysis(
         else:
             scopes_sig = repr(sorted(scope_map.items()))
             invocation_key = LintCache.invocation_key(
-                sorted(sha_by_rel.items()), flow, only, scopes_sig, ignore
+                sorted(sha_by_rel.items()), only, scopes_sig, ignore
             )
             hit = cache.load_report(invocation_key)
             if hit is not None:
@@ -202,14 +198,9 @@ def run_analysis(
     project = Project(root=root)
     for path in files:
         project.sources.append(load_source(path, root))
-    if rules is None:
-        active = list(all_rules())
-        if flow:
-            active.extend(flow_rules())
-    else:
-        active = list(rules)
-    # Stale-noqa detection needs the full default rule set: under a
-    # restricted run, a waiver for an unrun rule is dormant, not stale.
+    active = list(all_rules() if rules is None else rules)
+    # Stale-noqa detection needs every registered rule to have run:
+    # under a restricted run, a waiver for an unrun rule is dormant.
     full_run = rules is None and only is None and not ignore
     if only is not None:
         wanted = set(only)
@@ -281,16 +272,12 @@ def run_analysis(
 
     stale: List[Finding] = []
     if full_run:
-        active_ids = {rule.id for rule in active}
         for source in project.sources:
             if source.syntax_error is not None:
                 continue
             for line in source.suppressions.lines():
                 if line in used_waivers.get(source.rel, ()):
                     continue
-                named = source.suppressions.rules_on(line)
-                if named is not None and not named <= active_ids:
-                    continue  # waives a rule that did not run (e.g. R6-R8 without --flow)
                 stale.append(
                     Finding(
                         rule="R0",
@@ -325,7 +312,6 @@ def run_lint(
     only: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     scopes: Optional[Dict[str, Tuple[str, ...]]] = None,
-    flow: bool = False,
 ) -> List[Finding]:
     """Run the project linter and return sorted, unsuppressed findings.
 
@@ -333,6 +319,5 @@ def run_lint(
     the gating finding list.
     """
     return run_analysis(
-        paths, root=root, rules=rules, only=only, ignore=ignore,
-        scopes=scopes, flow=flow,
+        paths, root=root, rules=rules, only=only, ignore=ignore, scopes=scopes
     ).findings

@@ -306,8 +306,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         argv += ["--ignore", args.ignore]
     if args.root:
         argv += ["--root", args.root]
-    if args.flow:
-        argv.append("--flow")
     if args.output_format != "text":
         argv += ["--format", args.output_format]
     if args.show_suppressed:
@@ -474,21 +472,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.set_defaults(fn=cmd_info)
 
     p_lint = sub.add_parser(
-        "lint", help="run the project-specific static-analysis rules R1-R16"
+        "lint", help="run the project-specific static-analysis rules "
+        "(R1, R3, R4, R6-R16)"
     )
     p_lint.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     p_lint.add_argument("--select", "--rules", dest="rules", default=None,
-                        metavar="R1,R2,...",
+                        metavar="R1,R3,...",
                         help="comma-separated rule ids to run "
                         "(--rules is the legacy spelling)")
-    p_lint.add_argument("--ignore", default=None, metavar="R1,R2,...",
+    p_lint.add_argument("--ignore", default=None, metavar="R1,R3,...",
                         help="comma-separated rule ids to drop from the "
                         "selected set")
     p_lint.add_argument("--root", default=None, metavar="DIR",
                         help="directory findings are rendered relative to")
-    p_lint.add_argument("--flow", action="store_true",
-                        help="also run the interprocedural flow rules R6-R16")
     p_lint.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text", dest="output_format",
                         help="output format")

@@ -7,7 +7,7 @@ int32 one overflows on the key-packing trick in ``compute_gamma_all``).
 The :func:`contract` decorator makes the expectation explicit, checks
 it at runtime for a few hundred nanoseconds per call, and — because the
 declaration is a literal in the decorator — lets ``repro lint`` (rules
-R5 and R13–R16) cross-validate declarations and call sites statically.
+R13–R16) cross-validate declarations and call sites statically.
 
 Usage::
 

@@ -17,19 +17,17 @@ def lint_tree(tmp_path):
 
     Fixture files mimic the package layout (``serve/x.py``,
     ``core/dynamic.py``) so the default rule scopes apply to them.
-    ``flow=True`` adds the interprocedural rules R6-R8.
     """
 
     def _lint(
         files: Dict[str, str],
         only: Optional[List[str]] = None,
-        flow: bool = False,
     ) -> List[Finding]:
         for rel, text in files.items():
             path = tmp_path / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(text), encoding="utf-8")
-        return run_lint([tmp_path], root=tmp_path, only=only, flow=flow)
+        return run_lint([tmp_path], root=tmp_path, only=only)
 
     return _lint
 

@@ -21,7 +21,7 @@ def _write(root: Path, files) -> None:
 
 
 def _report(root: Path, cache=None):
-    return run_analysis([root], root=root, cache=cache, flow=True)
+    return run_analysis([root], root=root, cache=cache)
 
 
 def test_warm_run_reproduces_cold_report(tmp_path):
@@ -93,16 +93,16 @@ def test_select_and_ignore_salt_the_invocation_key(tmp_path):
     _write(tmp_path, {"core/a.py": RNG_BAD})
     cache_dir = tmp_path / CACHE_DIR_NAME
     full = run_analysis(
-        [tmp_path], root=tmp_path, cache=LintCache(cache_dir), flow=True
+        [tmp_path], root=tmp_path, cache=LintCache(cache_dir)
     )
     assert [f.rule for f in full.findings] == ["R3"]
     ignored = run_analysis(
-        [tmp_path], root=tmp_path, cache=LintCache(cache_dir), flow=True,
+        [tmp_path], root=tmp_path, cache=LintCache(cache_dir),
         ignore=["R3"],
     )
     assert ignored.findings == []
     selected = run_analysis(
-        [tmp_path], root=tmp_path, cache=LintCache(cache_dir), flow=True,
+        [tmp_path], root=tmp_path, cache=LintCache(cache_dir),
         only=["R3"],
     )
     assert [f.rule for f in selected.findings] == ["R3"]

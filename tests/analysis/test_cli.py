@@ -164,15 +164,18 @@ def test_stale_noqa_is_flagged(write_tree, capsys):
     assert "R0" in out
 
 
-def test_stale_noqa_skipped_for_unrun_rules(write_tree):
-    # A waiver naming a flow rule is dormant (not stale) without --flow.
+def test_stale_noqa_for_retired_rule_ids(write_tree):
+    # Every run runs every registered rule, so a waiver naming a retired
+    # id (R2, R5) can suppress nothing: it is stale, and selecting the
+    # retired id is a usage error.
     root = write_tree(
-        {"core/ok.py": "VALUE = 1  # repro: noqa R6 -- guards a flow finding\n"}
+        {"core/ok.py": "VALUE = 1  # repro: noqa R2 -- guarded a live index once\n"}
     )
     report = run_analysis([root], root=root)
-    assert report.stale == []
-    report_flow = run_analysis([root], root=root, flow=True)
-    assert [f.rule for f in report_flow.stale] == ["R0"]
+    assert [f.rule for f in report.stale] == ["R0"]
+    with pytest.raises(SystemExit) as err:
+        lint_main([str(root), "--select", "R2"])
+    assert err.value.code == 2
 
 
 def test_flow_flag_through_repro_cli(write_tree, capsys):
@@ -195,9 +198,8 @@ def test_flow_flag_through_repro_cli(write_tree, capsys):
             )
         }
     )
-    assert repro_main(["lint", str(root), "--root", str(root)]) == 0
-    capsys.readouterr()
-    assert repro_main(["lint", str(root), "--root", str(root), "--flow"]) == 1
+    # The flow rules run in every `repro lint` run; no flag turns them on.
+    assert repro_main(["lint", str(root), "--root", str(root)]) == 1
     assert "R6" in capsys.readouterr().out
 
 
@@ -211,7 +213,7 @@ def test_explain_includes_flow_rules(capsys):
 def test_shipped_tree_is_clean():
     """Meta-test: the repository's own source passes its own linter,
     including the interprocedural flow rules."""
-    report = run_analysis([REPO_SRC], root=REPO_SRC.parent, flow=True)
+    report = run_analysis([REPO_SRC], root=REPO_SRC.parent)
     assert report.findings == [], "\n".join(f.render() for f in report.findings)
     # No dormant waivers either: every noqa in the tree suppresses
     # something even with the full rule set active.
@@ -229,7 +231,7 @@ def test_sarif_format(write_tree, capsys):
     run = log["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"R0", "R1", "R3", "R5"} <= rule_ids
+    assert {"R0", "R1", "R3", "R16"} <= rule_ids
     [result] = [r for r in run["results"] if r["ruleId"] == "R3"]
     location = result["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"] == "core/mc.py"
@@ -239,7 +241,7 @@ def test_sarif_format(write_tree, capsys):
 
 def test_sarif_advertises_flow_rules(write_tree, capsys):
     root = write_tree({"core/ok.py": "VALUE = 1\n"})
-    assert lint_main([str(root), "--flow", "--format", "sarif"]) == 0
+    assert lint_main([str(root), "--format", "sarif"]) == 0
     log = json.loads(capsys.readouterr().out)
     rule_ids = {rule["id"] for rule in log["runs"][0]["tool"]["driver"]["rules"]}
     assert {"R13", "R14", "R15", "R16"} <= rule_ids

@@ -33,7 +33,7 @@ INVERTED_LOCKS = """
 
 
 def test_r6_two_lock_inversion(lint_tree):
-    findings = lint_tree({"serve/worker.py": INVERTED_LOCKS}, only=["R6"], flow=True)
+    findings = lint_tree({"serve/worker.py": INVERTED_LOCKS}, only=["R6"])
     assert rules_of(findings) == ["R6"]
     assert "lock-order cycle" in findings[0].message
     assert "Worker._lock_a" in findings[0].message
@@ -60,7 +60,7 @@ def test_r6_consistent_order_is_clean(lint_tree):
                     with self._lock_b:
                         return 2
     """
-    assert lint_tree({"serve/worker.py": consistent}, only=["R6"], flow=True) == []
+    assert lint_tree({"serve/worker.py": consistent}, only=["R6"]) == []
 
 
 def test_r6_three_lock_cycle(lint_tree):
@@ -89,7 +89,7 @@ def test_r6_three_lock_cycle(lint_tree):
                     with self._a:
                         pass
     """
-    findings = lint_tree({"serve/trio.py": cycle}, only=["R6"], flow=True)
+    findings = lint_tree({"serve/trio.py": cycle}, only=["R6"])
     assert rules_of(findings) == ["R6"]
     message = findings[0].message
     for lock in ("Trio._a", "Trio._b", "Trio._c"):
@@ -120,7 +120,7 @@ def test_r6_transitive_through_call(lint_tree):
                 with w._lock_a:
                     return 2
     """
-    findings = lint_tree({"serve/worker.py": transitive}, only=["R6"], flow=True)
+    findings = lint_tree({"serve/worker.py": transitive}, only=["R6"])
     assert rules_of(findings) == ["R6"]
 
 
@@ -141,7 +141,7 @@ def test_r6_reentrant_same_lock_no_false_positive(lint_tree):
                 with self._state_lock:
                     return 1
     """
-    assert lint_tree({"serve/worker.py": reentrant}, only=["R6"], flow=True) == []
+    assert lint_tree({"serve/worker.py": reentrant}, only=["R6"]) == []
 
 
 def test_r6_recognises_make_lock_factories(lint_tree):
@@ -164,7 +164,7 @@ def test_r6_recognises_make_lock_factories(lint_tree):
                 with h._swap:
                     return 2
     """
-    findings = lint_tree({"serve/handle.py": factories}, only=["R6"], flow=True)
+    findings = lint_tree({"serve/handle.py": factories}, only=["R6"])
     assert rules_of(findings) == ["R6"]
 
 
@@ -185,7 +185,7 @@ def test_r7_generator_into_submit(lint_tree):
             with ProcessPoolExecutor() as pool:
                 return [pool.submit(score, t, rng) for t in tasks]
     """
-    findings = lint_tree({"core/par.py": leak}, only=["R7"], flow=True)
+    findings = lint_tree({"core/par.py": leak}, only=["R7"])
     assert rules_of(findings) == ["R7"]
     assert "derive_seed" in findings[0].message
 
@@ -202,7 +202,7 @@ def test_r7_derived_seed_is_clean(lint_tree):
             with ProcessPoolExecutor() as pool:
                 return [pool.submit(score, t, child) for t in tasks]
     """
-    assert lint_tree({"core/par.py": clean}, only=["R7"], flow=True) == []
+    assert lint_tree({"core/par.py": clean}, only=["R7"]) == []
 
 
 def test_r7_seedlike_param_is_not_a_source(lint_tree):
@@ -218,7 +218,7 @@ def test_r7_seedlike_param_is_not_a_source(lint_tree):
             with ProcessPoolExecutor(initargs=(base,)) as pool:
                 return list(pool.map(work, range(4)))
     """
-    assert lint_tree({"core/par.py": pattern}, only=["R7"], flow=True) == []
+    assert lint_tree({"core/par.py": pattern}, only=["R7"]) == []
 
 
 def test_r7_thread_constructor_args(lint_tree):
@@ -233,7 +233,7 @@ def test_r7_thread_constructor_args(lint_tree):
             t = threading.Thread(target=work, args=(rng,))
             t.start()
     """
-    findings = lint_tree({"core/spawn.py": leak}, only=["R7"], flow=True)
+    findings = lint_tree({"core/spawn.py": leak}, only=["R7"])
     assert rules_of(findings) == ["R7"]
 
 
@@ -254,7 +254,7 @@ def test_r7_interprocedural_param_reaches_sink(lint_tree):
             with ProcessPoolExecutor() as pool:
                 return fan_out(pool, job, rng)
     """
-    findings = lint_tree({"core/par.py": indirect}, only=["R7"], flow=True)
+    findings = lint_tree({"core/par.py": indirect}, only=["R7"])
     # The finding lands at run()'s call into fan_out — the only place a
     # generator actually exists — and names the sink-reaching parameter.
     assert rules_of(findings) == ["R7"]
@@ -270,7 +270,7 @@ def test_r7_generator_annotated_param(lint_tree):
         def launch(pool, rng: np.random.Generator):
             return pool.submit(job, rng)
     """
-    findings = lint_tree({"core/par.py": annotated}, only=["R7"], flow=True)
+    findings = lint_tree({"core/par.py": annotated}, only=["R7"])
     assert rules_of(findings) == ["R7"]
 
 
@@ -281,7 +281,7 @@ def test_r7_generator_annotated_param(lint_tree):
 ESCAPING_SNAPSHOT = """
     def patch_rows(index, rows):
         for u, s in rows:
-            index.replace_signature(u, s)
+            index.signatures[u] = s
 
 
     def bad_update(handle, rows):
@@ -298,7 +298,7 @@ ESCAPING_SNAPSHOT = """
 
 
 def test_r8_snapshot_into_mutating_call(lint_tree):
-    findings = lint_tree({"serve/updates.py": ESCAPING_SNAPSHOT}, only=["R8"], flow=True)
+    findings = lint_tree({"serve/updates.py": ESCAPING_SNAPSHOT}, only=["R8"])
     assert rules_of(findings) == ["R8"]
     assert findings[0].message.count("patch_rows") == 1
     assert "clone" in findings[0].message
@@ -320,7 +320,7 @@ def test_r8_mutating_method_on_tainted_receiver(lint_tree):
             index = handle.current().engine.index
             index.replace_signature(u, signature)
     """
-    findings = lint_tree({"serve/recv.py": receiver}, only=["R8"], flow=True)
+    findings = lint_tree({"serve/recv.py": receiver}, only=["R8"])
     assert rules_of(findings) == ["R8"]
     assert "mutates its receiver" in findings[0].message
 
@@ -335,7 +335,7 @@ def test_r8_annotated_param_escape(lint_tree):
         def cleanup(index: "CandidateIndex", rows):
             scrub(index, rows)
     """
-    findings = lint_tree({"serve/cleanup.py": annotated}, only=["R8"], flow=True)
+    findings = lint_tree({"serve/cleanup.py": annotated}, only=["R8"])
     assert rules_of(findings) == ["R8"]
 
 
@@ -348,7 +348,7 @@ def test_r8_global_store(lint_tree):
             global _CACHED
             _CACHED = handle.current()
     """
-    findings = lint_tree({"serve/pin.py": pinned}, only=["R8"], flow=True)
+    findings = lint_tree({"serve/pin.py": pinned}, only=["R8"])
     assert rules_of(findings) == ["R8"]
     assert "global" in findings[0].message
 
@@ -357,7 +357,7 @@ def test_r8_clone_path_is_clean(lint_tree):
     blessed = """
         def patch_rows(index, rows):
             for u, s in rows:
-                index.replace_signature(u, s)
+                index.signatures[u] = s
 
 
         def update(handle, rows):
@@ -365,7 +365,7 @@ def test_r8_clone_path_is_clean(lint_tree):
             patch_rows(patched, rows)
             return patched
     """
-    assert lint_tree({"serve/updates.py": blessed}, only=["R8"], flow=True) == []
+    assert lint_tree({"serve/updates.py": blessed}, only=["R8"]) == []
 
 
 def test_r8_attached_bundle_is_a_source(lint_tree):
@@ -380,7 +380,7 @@ def test_r8_attached_bundle_is_a_source(lint_tree):
             bundle = SharedArrayBundle.attach(manifest)
             scrub(bundle)
     """
-    findings = lint_tree({"shard/worker.py": shard}, only=["R8"], flow=True)
+    findings = lint_tree({"shard/worker.py": shard}, only=["R8"])
     assert rules_of(findings) == ["R8"]
     assert "scrub" in findings[0].message
 
@@ -394,7 +394,7 @@ def test_r8_shared_bundle_annotation_taints_param(lint_tree):
         def release(bundle: "SharedArrayBundle"):
             drop_views(bundle.arrays)
     """
-    findings = lint_tree({"shard/pool.py": annotated}, only=["R8"], flow=True)
+    findings = lint_tree({"shard/pool.py": annotated}, only=["R8"])
     assert rules_of(findings) == ["R8"]
 
 
@@ -405,17 +405,17 @@ def test_r8_readonly_attach_use_is_clean(lint_tree):
             total = sum(a.nbytes for a in bundle.arrays.values())
             return bundle, total
     """
-    assert lint_tree({"shard/worker.py": clean}, only=["R8"], flow=True) == []
+    assert lint_tree({"shard/worker.py": clean}, only=["R8"]) == []
 
 
 # ----------------------------------------------------------------------
-# Integration: flow rules stay out of default runs, respect waivers
+# Integration: flow rules run in default runs, respect waivers
 # ----------------------------------------------------------------------
 
 
-def test_flow_rules_off_by_default(lint_tree):
+def test_flow_rules_run_by_default(lint_tree):
     findings = lint_tree({"serve/worker.py": INVERTED_LOCKS})
-    assert "R6" not in rules_of(findings)
+    assert "R6" in rules_of(findings)
 
 
 def test_flow_findings_respect_noqa(lint_tree):
@@ -427,5 +427,5 @@ def test_flow_findings_respect_noqa(lint_tree):
         "  # repro: noqa R6 -- fixture documents the inversion",
         1,
     )
-    findings = lint_tree({"serve/worker.py": waived}, only=["R6"], flow=True)
+    findings = lint_tree({"serve/worker.py": waived}, only=["R6"])
     assert findings == []

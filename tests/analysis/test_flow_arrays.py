@@ -36,7 +36,6 @@ class TestShapeConformance:
                 """
             },
             only=["R13"],
-            flow=True,
         )
         assert _rules(findings) == ["R13"]
         assert "broadcast" in findings[0].message
@@ -57,7 +56,6 @@ class TestShapeConformance:
                 """
             },
             only=["R13"],
-            flow=True,
         )
         assert findings == []
 
@@ -75,7 +73,6 @@ class TestShapeConformance:
                 """
             },
             only=["R13"],
-            flow=True,
         )
         assert _rules(findings) == ["R13"]
         assert "3" in findings[0].message and "4" in findings[0].message
@@ -95,7 +92,6 @@ class TestShapeConformance:
                 """
             },
             only=["R13"],
-            flow=True,
         )
         assert findings == []
 
@@ -111,7 +107,6 @@ class TestShapeConformance:
                 """
             },
             only=["R13"],
-            flow=True,
         )
         assert _rules(findings) == ["R13"]
         assert "rank" in findings[0].message
@@ -128,7 +123,6 @@ class TestShapeConformance:
                 """
             },
             only=["R13"],
-            flow=True,
         )
         assert _rules(findings) == ["R13"]
         assert "-1" in findings[0].message
@@ -152,7 +146,6 @@ class TestShapeConformance:
                 """
             },
             only=["R13"],
-            flow=True,
         )
         assert _rules(findings) == ["R13"]
         assert "rank" in findings[0].message
@@ -178,7 +171,6 @@ class TestShapeConformance:
                 """
             },
             only=["R13"],
-            flow=True,
         )
         assert _rules(findings) == ["R13"]
         assert "`W`" in findings[0].message
@@ -197,7 +189,6 @@ class TestShapeConformance:
                 """
             },
             only=["R13"],
-            flow=True,
         )
         assert findings == []
 
@@ -223,7 +214,6 @@ class TestIndexDtype:
                 """
             },
             only=["R14"],
-            flow=True,
         )
         assert _rules(findings) == ["R14"]
         assert "narrows" in findings[0].message
@@ -243,7 +233,6 @@ class TestIndexDtype:
                 """
             },
             only=["R14"],
-            flow=True,
         )
         assert findings == []
 
@@ -259,7 +248,6 @@ class TestIndexDtype:
                 """
             },
             only=["R14"],
-            flow=True,
         )
         assert _rules(findings) == ["R14"]
         assert "platform" in findings[0].message
@@ -276,7 +264,6 @@ class TestIndexDtype:
                 """
             },
             only=["R14"],
-            flow=True,
         )
         assert _rules(findings) == ["R14"]
 
@@ -293,7 +280,6 @@ class TestIndexDtype:
                 """
             },
             only=["R14"],
-            flow=True,
         )
         assert _rules(findings) == ["R14"]
         assert "arange" in findings[0].message
@@ -311,7 +297,6 @@ class TestIndexDtype:
                 """
             },
             only=["R14"],
-            flow=True,
         )
         assert findings == []
 
@@ -330,7 +315,6 @@ class TestIndexDtype:
                 """
             },
             only=["R14"],
-            flow=True,
         )
         assert findings == []
 
@@ -353,7 +337,6 @@ class TestIndexDtype:
                 """
             },
             only=["R14"],
-            flow=True,
         )
         assert _rules(findings) == ["R14"]
         assert "consume" in findings[0].message
@@ -371,7 +354,6 @@ class TestIndexDtype:
                 """
             },
             only=["R14"],
-            flow=True,
         )
         assert findings == []
 
@@ -387,7 +369,6 @@ class TestIndexDtype:
                 """
             },
             only=["R14"],
-            flow=True,
         )
         assert findings == []
 
@@ -413,7 +394,6 @@ class TestAllocHygiene:
                 """
             },
             only=["R15"],
-            flow=True,
         )
         assert _rules(findings) == ["R15"]
         assert "np.append" in findings[0].message
@@ -433,7 +413,6 @@ class TestAllocHygiene:
                 """
             },
             only=["R15"],
-            flow=True,
         )
         assert findings == []
 
@@ -452,7 +431,6 @@ class TestAllocHygiene:
                 """
             },
             only=["R15"],
-            flow=True,
         )
         assert findings == []
 
@@ -473,7 +451,6 @@ class TestAllocHygiene:
                 """
             },
             only=["R15"],
-            flow=True,
         )
         assert _rules(findings) == ["R15"]
         assert ".copy()" in findings[0].message
@@ -493,7 +470,6 @@ class TestAllocHygiene:
                 """
             },
             only=["R15"],
-            flow=True,
         )
         assert _rules(findings) == ["R15"]
         assert "mask" in findings[0].message
@@ -517,7 +493,6 @@ class TestAllocHygiene:
                 """
             },
             only=["R15"],
-            flow=True,
         )
         assert _rules(findings) == ["R15"]
         assert "joined" in findings[0].message
@@ -538,7 +513,6 @@ class TestAllocHygiene:
                 """
             },
             only=["R15"],
-            flow=True,
         )
         assert findings == []
 
@@ -564,7 +538,6 @@ class TestContractDrift:
                 """
             },
             only=["R16"],
-            flow=True,
         )
         assert _rules(findings) == ["R16"]
         assert "drifted" in findings[0].message
@@ -584,7 +557,6 @@ class TestContractDrift:
                 """
             },
             only=["R16"],
-            flow=True,
         )
         assert findings == []
 
@@ -603,7 +575,6 @@ class TestContractDrift:
                 """
             },
             only=["R16"],
-            flow=True,
         )
         assert _rules(findings) == ["R16"]
         assert "returns" in findings[0].message
@@ -627,7 +598,6 @@ class TestContractDrift:
                 """
             },
             only=["R16"],
-            flow=True,
         )
         assert _rules(findings) == ["R16"]
         assert "reject" in findings[0].message
@@ -647,7 +617,6 @@ class TestContractDrift:
                 """
             },
             only=["R16"],
-            flow=True,
         )
         assert _rules(findings) == ["R16"]
         assert "`b`" in findings[0].message
@@ -668,7 +637,6 @@ class TestContractDrift:
                 """
             },
             only=["R16"],
-            flow=True,
         )
         assert _rules(findings) == ["R16"]
         assert "shape symbol" in findings[0].message
@@ -689,7 +657,6 @@ class TestContractDrift:
                 """
             },
             only=["R16"],
-            flow=True,
         )
         assert findings == []
 
@@ -712,7 +679,6 @@ class TestContractDrift:
                 """
             },
             only=["R16"],
-            flow=True,
         )
         assert findings == []
 

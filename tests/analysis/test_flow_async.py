@@ -22,7 +22,7 @@ BLOCKING_IN_CORO = """
 
 
 def test_r9_blocking_sink_in_coroutine(lint_tree):
-    findings = lint_tree({"serve/api.py": BLOCKING_IN_CORO}, only=["R9"], flow=True)
+    findings = lint_tree({"serve/api.py": BLOCKING_IN_CORO}, only=["R9"])
     assert rules_of(findings) == ["R9"]
     assert "time.sleep()" in findings[0].message
     assert "async def handle" in findings[0].message
@@ -41,7 +41,7 @@ def test_r9_transitive_through_sync_helper(lint_tree):
         async def shutdown():
             drain_queue()
     """
-    findings = lint_tree({"serve/api.py": fixture}, only=["R9"], flow=True)
+    findings = lint_tree({"serve/api.py": fixture}, only=["R9"])
     assert rules_of(findings) == ["R9"]
     assert "calls `drain_queue`" in findings[0].message
     assert "time.sleep()" in findings[0].message
@@ -61,7 +61,7 @@ def test_r9_await_under_sync_lock(lint_tree):
                 with self._lock:
                     await asyncio.sleep(0)
     """
-    findings = lint_tree({"serve/server.py": fixture}, only=["R9"], flow=True)
+    findings = lint_tree({"serve/server.py": fixture}, only=["R9"])
     assert rules_of(findings) == ["R9"]
     assert "Server._lock" in findings[0].message
     assert "awaits while holding sync lock" in findings[0].message
@@ -80,7 +80,7 @@ def test_r9_asyncio_lock_is_exempt(lint_tree):
                 with self._lock:
                     await asyncio.sleep(0)
     """
-    assert lint_tree({"serve/server.py": fixture}, only=["R9"], flow=True) == []
+    assert lint_tree({"serve/server.py": fixture}, only=["R9"]) == []
 
 
 def test_r9_executor_payload_not_flagged(lint_tree):
@@ -96,7 +96,7 @@ def test_r9_executor_payload_not_flagged(lint_tree):
                 time.sleep(0.5)
             await loop.run_in_executor(executor, work)
     """
-    assert lint_tree({"serve/api.py": fixture}, only=["R9"], flow=True) == []
+    assert lint_tree({"serve/api.py": fixture}, only=["R9"]) == []
 
 
 def test_r9_string_join_not_flagged(lint_tree):
@@ -104,7 +104,7 @@ def test_r9_string_join_not_flagged(lint_tree):
         async def fmt(parts):
             return ", ".join(parts)
     """
-    assert lint_tree({"serve/api.py": fixture}, only=["R9"], flow=True) == []
+    assert lint_tree({"serve/api.py": fixture}, only=["R9"]) == []
 
 
 def test_r9_respects_noqa(lint_tree):
@@ -116,7 +116,7 @@ def test_r9_respects_noqa(lint_tree):
             time.sleep(0.1)  # repro: noqa R9 -- test fixture: intentional block
             return request
     """
-    assert lint_tree({"serve/api.py": fixture}, only=["R9"], flow=True) == []
+    assert lint_tree({"serve/api.py": fixture}, only=["R9"]) == []
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_r10_conditional_close_leaks(lint_tree):
                 shm.close()
             return None
     """
-    findings = lint_tree({"shard/cache.py": fixture}, only=["R10"], flow=True)
+    findings = lint_tree({"shard/cache.py": fixture}, only=["R10"])
     assert rules_of(findings) == ["R10"]
     assert "shared-memory segment `shm`" in findings[0].message
     assert "make_segment" in findings[0].message
@@ -150,7 +150,7 @@ def test_r10_return_transfers_ownership(lint_tree):
             shm = SharedMemory(create=True, size=64)
             return shm
     """
-    assert lint_tree({"shard/cache.py": fixture}, only=["R10"], flow=True) == []
+    assert lint_tree({"shard/cache.py": fixture}, only=["R10"]) == []
 
 
 def test_r10_owned_parameter_must_release(lint_tree):
@@ -158,7 +158,7 @@ def test_r10_owned_parameter_must_release(lint_tree):
         def consume(conn, bundle):  # owns: bundle
             conn.send(1)
     """
-    findings = lint_tree({"shard/cache.py": fixture}, only=["R10"], flow=True)
+    findings = lint_tree({"shard/cache.py": fixture}, only=["R10"])
     assert rules_of(findings) == ["R10"]
     assert "owned parameter `bundle`" in findings[0].message
 
@@ -169,7 +169,7 @@ def test_r10_owned_parameter_released_is_clean(lint_tree):
             conn.send(1)
             bundle.close()
     """
-    assert lint_tree({"shard/cache.py": fixture}, only=["R10"], flow=True) == []
+    assert lint_tree({"shard/cache.py": fixture}, only=["R10"]) == []
 
 
 def test_r10_escape_to_store_is_transfer(lint_tree):
@@ -182,7 +182,7 @@ def test_r10_escape_to_store_is_transfer(lint_tree):
                 pool = ThreadPoolExecutor(max_workers=2)
                 self._pool = pool
     """
-    assert lint_tree({"shard/pool2.py": fixture}, only=["R10"], flow=True) == []
+    assert lint_tree({"shard/pool2.py": fixture}, only=["R10"]) == []
 
 
 def test_r10_bundle_export_tracked(lint_tree):
@@ -195,7 +195,7 @@ def test_r10_bundle_export_tracked(lint_tree):
             if flag:
                 return bundle
     """
-    findings = lint_tree({"shard/codec2.py": fixture}, only=["R10"], flow=True)
+    findings = lint_tree({"shard/codec2.py": fixture}, only=["R10"])
     assert rules_of(findings) == ["R10"]
     assert "shared-array bundle `bundle`" in findings[0].message
 
@@ -209,4 +209,4 @@ def test_r10_respects_noqa(lint_tree):
             shm = SharedMemory(create=True, size=64)  # repro: noqa R10 -- fixture: parked on purpose
             return None
     """
-    assert lint_tree({"shard/cache.py": fixture}, only=["R10"], flow=True) == []
+    assert lint_tree({"shard/cache.py": fixture}, only=["R10"]) == []

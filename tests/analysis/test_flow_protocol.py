@@ -42,7 +42,7 @@ def test_r11_unhandled_op(lint_tree):
     """
     findings = lint_tree(
         {"shard/worker.py": WORKER_DISPATCH, "shard/pool.py": pool},
-        only=["R11"], flow=True,
+        only=["R11"],
     )
     assert rules_of(findings) == ["R11"]
     assert "'reload'" in findings[0].message
@@ -64,7 +64,7 @@ def test_r11_missing_required_field(lint_tree):
     """
     findings = lint_tree(
         {"shard/worker.py": WORKER_DISPATCH, "shard/pool.py": pool},
-        only=["R11"], flow=True,
+        only=["R11"],
     )
     assert rules_of(findings) == ["R11"]
     assert "lacks required field(s) 'manifest'" in findings[0].message
@@ -81,7 +81,7 @@ def test_r11_dead_handler(lint_tree):
     """
     findings = lint_tree(
         {"shard/worker.py": WORKER_DISPATCH, "shard/pool.py": pool},
-        only=["R11"], flow=True,
+        only=["R11"],
     )
     assert rules_of(findings) == ["R11"]
     assert "handler arm for op 'query' is dead" in findings[0].message
@@ -114,7 +114,7 @@ def test_r11_dict_augmentation_credits_fields(lint_tree):
     """
     assert lint_tree(
         {"shard/worker.py": worker, "shard/pool.py": pool},
-        only=["R11"], flow=True,
+        only=["R11"],
     ) == []
 
 
@@ -138,7 +138,7 @@ def test_r11_outside_shard_not_scanned(lint_tree):
                 def query(self, conn, u):
                     conn.send({"op": "query", "u": u})
          """},
-        only=["R11"], flow=True,
+        only=["R11"],
     ) == []
 
 
@@ -150,7 +150,7 @@ def test_r11_no_handlers_means_silence(lint_tree):
             def anything(self, conn):
                 conn.send({"op": "anything"})
     """
-    assert lint_tree({"shard/pool.py": pool}, only=["R11"], flow=True) == []
+    assert lint_tree({"shard/pool.py": pool}, only=["R11"]) == []
 
 
 def test_r11_dead_test_hook_respects_noqa(lint_tree):
@@ -171,7 +171,7 @@ def test_r11_dead_test_hook_respects_noqa(lint_tree):
     """
     assert lint_tree(
         {"shard/worker.py": worker, "shard/pool.py": pool},
-        only=["R11"], flow=True,
+        only=["R11"],
     ) == []
 
 
@@ -202,7 +202,7 @@ CLEAN_USER = """
 def test_r12_clean_catalog_and_uses(lint_tree):
     assert lint_tree(
         {"obs/catalog.py": CATALOG, "core/metrics_user.py": CLEAN_USER},
-        only=["R12"], flow=True,
+        only=["R12"],
     ) == []
 
 
@@ -214,7 +214,7 @@ def test_r12_unregistered_literal_pair(lint_tree):
 """
     findings = lint_tree(
         {"obs/catalog.py": CATALOG, "core/metrics_user.py": user},
-        only=["R12"], flow=True,
+        only=["R12"],
     )
     assert rules_of(findings) == ["R12"]
     assert "('query', 'bogus_total')" in findings[0].message
@@ -229,7 +229,7 @@ def test_r12_unknown_constant_reference(lint_tree):
 """
     findings = lint_tree(
         {"obs/catalog.py": CATALOG, "core/metrics_user.py": user},
-        only=["R12"], flow=True,
+        only=["R12"],
     )
     assert rules_of(findings) == ["R12"]
     assert "catalog.MISSING" in findings[0].message
@@ -245,7 +245,7 @@ def test_r12_unused_entry(lint_tree):
     """
     findings = lint_tree(
         {"obs/catalog.py": CATALOG, "core/metrics_user.py": user},
-        only=["R12"], flow=True,
+        only=["R12"],
     )
     assert rules_of(findings) == ["R12"]
     assert "('query', 'errors_total')" in findings[0].message
@@ -259,7 +259,7 @@ def test_r12_constant_missing_from_catalog(lint_tree):
 """
     findings = lint_tree(
         {"obs/catalog.py": catalog, "core/metrics_user.py": CLEAN_USER},
-        only=["R12"], flow=True,
+        only=["R12"],
     )
     assert rules_of(findings) == ["R12"]
     assert "ORPHAN" in findings[0].message
@@ -274,7 +274,7 @@ def test_r12_dotted_key_mismatch(lint_tree):
 """
     findings = lint_tree(
         {"obs/catalog.py": CATALOG, "core/metrics_user.py": user},
-        only=["R12"], flow=True,
+        only=["R12"],
     )
     assert rules_of(findings) == ["R12"]
     assert "query.bogus_total" in findings[0].message
@@ -291,7 +291,7 @@ def test_r12_trace_span_names_exempt(lint_tree):
 """
     assert lint_tree(
         {"obs/catalog.py": CATALOG, "core/metrics_user.py": user},
-        only=["R12"], flow=True,
+        only=["R12"],
     ) == []
 
 
@@ -306,5 +306,5 @@ def test_r12_dotted_match_counts_as_use(lint_tree):
     """
     assert lint_tree(
         {"obs/catalog.py": CATALOG, "core/metrics_user.py": user},
-        only=["R12"], flow=True,
+        only=["R12"],
     ) == []

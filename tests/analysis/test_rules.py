@@ -155,40 +155,8 @@ def test_r1_suppression_with_reason(lint_tree):
 
 
 # ----------------------------------------------------------------------
-# R2 — snapshot immutability
+# R2 — snapshot immutability (retired id; snapshot stores are R8's)
 # ----------------------------------------------------------------------
-
-
-def test_r2_flags_live_index_mutation(lint_tree):
-    findings = lint_tree(
-        {
-            "core/patch.py": '''
-            def corrupt(index):
-                index.signatures[3] = [1, 2]
-                index.gamma.values[3] = 0.0
-                index.replace_signature(3, [1])
-            '''
-        },
-        only=["R2"],
-    )
-    assert rules_of(findings) == ["R2", "R2", "R2"]
-
-
-def test_r2_clone_path_is_exempt(lint_tree):
-    findings = lint_tree(
-        {
-            "core/patch.py": '''
-            def rebuild(engine):
-                index = engine.index.clone()
-                index.signatures[3] = [1, 2]
-                index.gamma.values[3] = 0.0
-                index.replace_signature(3, [1])
-                return index
-            '''
-        },
-        only=["R2"],
-    )
-    assert findings == []
 
 
 def test_r2_annotated_receiver_assignment(lint_tree):
@@ -202,55 +170,43 @@ def test_r2_annotated_receiver_assignment(lint_tree):
                 snapshot.epoch = 7
             '''
         },
-        only=["R2"],
+        only=["R8"],
     )
-    assert rules_of(findings) == ["R2"]
+    assert rules_of(findings) == ["R8"]
+    assert "snapshot.epoch" in findings[0].message
 
 
-def test_r2_owner_class_body_exempt(lint_tree):
+def test_r8_store_into_current_result(lint_tree):
     findings = lint_tree(
         {
-            "core/index.py": '''
-            class CandidateIndex:
-                def replace_signature(self, u, signature):
-                    self.signatures[u] = signature
+            "serve/handler.py": '''
+            def tamper(handle):
+                snap = handle.current()
+                snap.epoch = 7
+                snap.engine.index.gamma[3] += 1.0
             '''
         },
-        only=["R2"],
+        only=["R8"],
+    )
+    assert rules_of(findings) == ["R8", "R8"]
+
+
+def test_r8_store_into_constructed_snapshot_is_clean(lint_tree):
+    findings = lint_tree(
+        {
+            "serve/handler.py": '''
+            class EngineSnapshot:
+                pass
+
+            def build(handle):
+                snap = EngineSnapshot()
+                snap.epoch = handle.current().epoch + 1
+                return snap
+            '''
+        },
+        only=["R8"],
     )
     assert findings == []
-
-
-def test_r2_buffer_backed_index_cache_is_exempt(lint_tree):
-    # The lazy legacy-view cache inside BufferBackedCandidateIndex is
-    # that owner class's own mutation API, same as CandidateIndex's.
-    findings = lint_tree(
-        {
-            "core/index.py": '''
-            class BufferBackedCandidateIndex:
-                def __getattr__(self, name):
-                    if name == "signatures":
-                        self.signatures = self._materialize_signatures()
-                        return self.signatures
-                    raise AttributeError(name)
-            '''
-        },
-        only=["R2"],
-    )
-    assert findings == []
-
-
-def test_r2_mutating_container_call_on_payload(lint_tree):
-    findings = lint_tree(
-        {
-            "core/patch.py": '''
-            def grow(engine):
-                engine.index.signatures.extend([[1], [2]])
-            '''
-        },
-        only=["R2"],
-    )
-    assert rules_of(findings) == ["R2"]
 
 
 # ----------------------------------------------------------------------
@@ -402,8 +358,13 @@ def test_r4_only_hot_modules_in_scope(lint_tree):
 
 
 # ----------------------------------------------------------------------
-# R5 — dtype contracts
+# R5 — dtype contracts (retired id; the checks are R16's)
 # ----------------------------------------------------------------------
+
+
+def r16_not_returns(findings):
+    """R16 findings other than the missing-``returns=`` note."""
+    return [f for f in findings if "declares no returns=" not in f.message]
 
 
 def test_r5_requires_contract_on_kernels(lint_tree):
@@ -415,9 +376,10 @@ def test_r5_requires_contract_on_kernels(lint_tree):
                     return positions
             '''
         },
-        only=["R5"],
+        only=["R16"],
     )
-    assert rules_of(findings) == ["R5"]
+    findings = r16_not_returns(findings)
+    assert rules_of(findings) == ["R16"]
     assert "step" in findings[0].message
 
 
@@ -432,9 +394,10 @@ def test_r5_malformed_spec(lint_tree):
                 return x
             '''
         },
-        only=["R5"],
+        only=["R16"],
     )
-    assert rules_of(findings) == ["R5"]
+    findings = r16_not_returns(findings)
+    assert rules_of(findings) == ["R16"]
     assert "floaty64" in findings[0].message
 
 
@@ -449,9 +412,10 @@ def test_r5_unknown_parameter(lint_tree):
                 return x
             '''
         },
-        only=["R5"],
+        only=["R16"],
     )
-    assert rules_of(findings) == ["R5"]
+    findings = r16_not_returns(findings)
+    assert rules_of(findings) == ["R16"]
     assert "unknown parameter" in findings[0].message
 
 
@@ -470,9 +434,10 @@ def test_r5_call_site_dtype_mismatch(lint_tree):
                 return advance(np.zeros(n, dtype=np.int32))
             ''',
         },
-        only=["R5"],
+        only=["R16"],
     )
-    assert rules_of(findings) == ["R5"]
+    findings = r16_not_returns(findings)
+    assert rules_of(findings) == ["R16"]
     assert "int32" in findings[0].message and "int64" in findings[0].message
 
 
@@ -494,9 +459,10 @@ def test_r5_call_sites_checked_across_files(lint_tree):
                 return advance(np.zeros(n, dtype="float32"))
             ''',
         },
-        only=["R5"],
+        only=["R16"],
     )
-    assert rules_of(findings) == ["R5"]
+    findings = r16_not_returns(findings)
+    assert rules_of(findings) == ["R16"]
     assert findings[0].path.endswith("driver.py")
 
 
@@ -515,9 +481,9 @@ def test_r5_matching_call_site_is_clean(lint_tree):
                 return advance(np.zeros(n, dtype=np.int64))
             ''',
         },
-        only=["R5"],
+        only=["R16"],
     )
-    assert findings == []
+    assert r16_not_returns(findings) == []
 
 
 # ----------------------------------------------------------------------

@@ -281,7 +281,7 @@ def test_inversion_fixture_detected_statically(tmp_path):
     path = tmp_path / "serve" / "inverted.py"
     path.parent.mkdir(parents=True)
     path.write_text(textwrap.dedent(INVERSION_FIXTURE), encoding="utf-8")
-    findings = run_lint([tmp_path], root=tmp_path, only=["R6"], flow=True)
+    findings = run_lint([tmp_path], root=tmp_path, only=["R6"])
     assert [f.rule for f in findings] == ["R6"]
     assert "lock-order cycle" in findings[0].message
 

@@ -136,7 +136,7 @@ def test_r8_mutating_a_current_result_is_flagged(lint_tree):
     # consumers that want to edit must take their own dict() copy (the
     # controller and /healthz paths only ever read).
     findings = lint_tree(
-        {"serve/report.py": MUTATED_CURRENT}, only=["R8"], flow=True
+        {"serve/report.py": MUTATED_CURRENT}, only=["R8"]
     )
     assert rules_of(findings) == ["R8"]
     bad_call_line = MUTATED_CURRENT.index("merge_defaults(live, defaults)")

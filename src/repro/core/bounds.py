@@ -118,8 +118,9 @@ def compute_alpha_beta(
 ) -> L1Bound:
     """Algorithm 2: Monte-Carlo α(u, d, t) and β(u, d).
 
-    ``distances`` may carry a precomputed in-BFS distance array from u
-    (the query phase already has one); otherwise it is computed here.
+    ``distances`` may carry a precomputed BFS distance array from u
+    (the query phase passes its undirected one); otherwise an in-BFS
+    is computed here.
     Concentration: Proposition 5 / Corollary 2.
     """
     config = config or SimRankConfig()
@@ -145,16 +146,18 @@ def compute_alpha_beta(
         if valid.any():
             np.maximum.at(alpha[:, t], dist_of[valid], values[valid])
 
+    # Row d of ``offset`` holds d' - d; step t's window is the d' with
+    # -t <= d' - d <= t (only the upper side when asymmetric).  Entries
+    # outside it read 0, which leaves each max unchanged since α >= 0.
     beta = np.zeros(d_max + 1)
     weights = config.c ** np.arange(T)
-    for d in range(d_max + 1):
-        total = 0.0
-        for t in range(T):
-            low = max(0, d - t) if symmetric_distance else 0
-            high = min(d_max, d + t)
-            if low <= high:
-                total += weights[t] * alpha[low : high + 1, t].max()
-        beta[d] = total
+    levels = np.arange(d_max + 1, dtype=np.int64)
+    offset = levels[None, :] - levels[:, None]
+    for t in range(T):
+        window = offset <= t
+        if symmetric_distance:
+            window &= offset >= -t
+        beta += weights[t] * np.where(window, alpha[:, t], 0.0).max(axis=1)
     return L1Bound(u=u, c=config.c, d_max=d_max, alpha=alpha, beta=beta)
 
 

@@ -54,8 +54,10 @@ def bfs_distances(
     query phase only explores the local ball around the query vertex.
 
     Level-synchronous and numpy-vectorised: each BFS level is one
-    gather + one dedup, so the per-query distance labelling stays cheap
-    even when the ball covers the whole graph.
+    gather of the frontier's neighbors, one mask of the unlabelled ones,
+    and a sort-free dedup (every copy of a vertex writes its slot, and
+    the copy whose slot survived joins the next frontier).  Labels do
+    not depend on frontier order, so no level is sorted.
     """
     if not 0 <= source < graph.n:
         raise VertexError(source, graph.n)
@@ -63,6 +65,7 @@ def bfs_distances(
         raise ValueError(f"unknown direction {direction!r}")
     dist = np.full(graph.n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0
+    slot = np.empty(graph.n, dtype=np.int64)
     frontier = np.array([source], dtype=np.int64)
     level = 0
     while frontier.size and (max_distance is None or level < max_distance):
@@ -77,9 +80,11 @@ def bfs_distances(
         fresh = neighbors[dist[neighbors] == UNREACHABLE]
         if fresh.size == 0:
             break
-        frontier = np.unique(fresh)
         level += 1
-        dist[frontier] = level
+        dist[fresh] = level
+        positions = np.arange(fresh.size, dtype=np.int64)
+        slot[fresh] = positions
+        frontier = fresh[slot[fresh] == positions]
     return dist
 
 

@@ -692,9 +692,20 @@ class ServerThread:
         """Stop the server and join the loop thread (idempotent)."""
         if self._thread is None:
             return
-        if self._loop is not None and self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop)
+        stopping = future = None
+        # A shutdown op already running stop() needs no second one.
+        if (self._loop is not None and self._thread.is_alive()
+                and not self.server._stopping):
+            stopping = self.server.stop()
+            try:
+                future = asyncio.run_coroutine_threadsafe(stopping, self._loop)
+            except RuntimeError:  # the loop closed in between
+                pass
         self._thread.join(timeout)
         if self._thread.is_alive():
             raise TimeoutError("server thread did not stop in time")
         self._thread = None
+        # The loop may have wound down before it ran the scheduled
+        # stop(); close the coroutine so it is not left unawaited.
+        if stopping is not None and (future is None or not future.done()):
+            stopping.close()

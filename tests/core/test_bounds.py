@@ -11,6 +11,7 @@ from repro.core.linear import single_pair_series
 from repro.errors import ConfigError, VertexError
 from repro.graph.generators import cycle_graph, star_graph
 from repro.graph.traversal import bfs_distances
+from tests.plan_oracle import reference_beta
 
 
 @pytest.fixture
@@ -94,6 +95,19 @@ class TestL1Bound:
     def test_vertex_validation(self, small_cycle, bound_config):
         with pytest.raises(VertexError):
             compute_alpha_beta(small_cycle, 99, bound_config)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("d_max", [None, 2, 5, 12])
+    def test_beta_equals_double_loop_oracle(self, web_graph, symmetric, d_max):
+        # d_max=None is d_max = T; the others put d_max below and above T.
+        config = SimRankConfig(T=8, d_max=d_max, r_alphabeta=500)
+        for u in (3, 17, 40):
+            dist = bfs_distances(web_graph, u, direction="both")
+            l1 = compute_alpha_beta(
+                web_graph, u, config, seed=u, distances=dist, symmetric_distance=symmetric
+            )
+            expected = reference_beta(l1.alpha, config.c, symmetric)
+            assert l1.beta.tolist() == expected.tolist()
 
     def test_cycle_alpha_exact(self):
         # Deterministic walks: alpha(u, d, t) = (1-c) exactly when the

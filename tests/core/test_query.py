@@ -7,8 +7,9 @@ import pytest
 
 from repro.core.exact import exact_simrank, exact_top_k
 from repro.core.index import build_index
-from repro.core.query import top_k_query
+from repro.core.query import plan_query, top_k_query
 from repro.errors import VertexError
+from tests.plan_oracle import reference_plan
 
 
 @pytest.fixture
@@ -177,3 +178,73 @@ class TestThresholdTermination:
             graph, index, 3, k=10, config=config.with_(theta=0.0), seed=5
         )
         assert len(result) > 0
+
+
+class TestPlanMatchesOldConstruction:
+    """``plan_query`` against a set-based candidate build and a second BFS."""
+
+    @pytest.mark.parametrize("with_index", [True, False])
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_candidates_distances_bounds(self, web_graph, test_config, with_index, k):
+        index = build_index(web_graph, test_config, seed=0) if with_index else None
+        fallbacks = []
+        for u in range(0, web_graph.n, 7):
+            plan = plan_query(web_graph, index, u, k=k, config=test_config, seed=u)
+            vertices, distances, bounds = reference_plan(
+                web_graph, index, u, k, test_config, seed=u
+            )
+            assert plan.candidates.tolist() == vertices.tolist()
+            assert plan.distances.tolist() == distances.tolist()
+            np.testing.assert_array_equal(plan.bounds, bounds)
+            fallbacks.append(plan.fallback_used)
+        # Without an index every plan falls back; at k = 1 H alone often suffices.
+        if index is None:
+            assert all(fallbacks)
+        elif k == 1:
+            assert any(fallbacks) and not all(fallbacks)
+
+    @pytest.mark.parametrize("with_index", [True, False])
+    def test_extra_candidates(self, social_graph, test_config, with_index):
+        index = build_index(social_graph, test_config, seed=0) if with_index else None
+        extra = [0, social_graph.n - 1, 7, 7, 3]  # repeats, and u itself
+        for config in (test_config, test_config.with_(fallback_ball_radius=0)):
+            plan = plan_query(social_graph, index, 3, k=5, config=config, seed=1,
+                              extra_candidates=extra)
+            vertices, distances, bounds = reference_plan(
+                social_graph, index, 3, 5, config, seed=1, extra=extra
+            )
+            assert plan.candidates.tolist() == vertices.tolist()
+            assert plan.distances.tolist() == distances.tolist()
+            np.testing.assert_array_equal(plan.bounds, bounds)
+            assert {0, social_graph.n - 1, 7} <= set(plan.candidates.tolist())
+
+    def test_ball_wider_than_d_max(self, web_graph, test_config):
+        # The ball reaches past the distance horizon; those candidates
+        # still scan at d_max.
+        config = test_config.with_(d_max=1, fallback_ball_radius=3)
+        for u in (0, 9, 33):
+            plan = plan_query(web_graph, None, u, k=5, config=config, seed=u)
+            vertices, distances, bounds = reference_plan(web_graph, None, u, 5, config, seed=u)
+            assert plan.candidates.tolist() == vertices.tolist()
+            assert plan.distances.tolist() == distances.tolist()
+            np.testing.assert_array_equal(plan.bounds, bounds)
+
+    def test_one_bfs_per_planned_query(self, web_graph, test_config, monkeypatch):
+        import repro.core.query as query_module
+
+        index = build_index(web_graph, test_config, seed=0)
+        calls = []
+        real_bfs = query_module.bfs_distances
+
+        def counting_bfs(graph, source, *args, **kwargs):
+            calls.append(int(source))
+            return real_bfs(graph, source, *args, **kwargs)
+
+        monkeypatch.setattr(query_module, "bfs_distances", counting_bfs)
+        queries = list(range(0, web_graph.n, 5))
+        for u in queries:
+            result = top_k_query(web_graph, index, u, k=20, config=test_config, seed=u)
+            assert result.stats.fallback_used
+        for u in queries:
+            top_k_query(web_graph, None, u, k=5, config=test_config, seed=u)
+        assert calls == queries + queries

@@ -6,9 +6,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import SimRankConfig
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraphBuilder
 from repro.graph.traversal import UNREACHABLE, bfs_distances, weakly_connected_components
+from tests.plan_oracle import reference_bfs
 
 
 @st.composite
@@ -114,3 +116,38 @@ class TestBfsInvariants:
                 assert truncated[v] == full[v]
             elif full[v] != UNREACHABLE:
                 assert full[v] > radius
+
+
+@st.composite
+def multigraphs(draw, max_n: int = 12, max_m: int = 40):
+    """Graphs keeping duplicate edges and self-loops (one of each, at least)."""
+    n, edges = draw(edge_lists(max_n, max_m))
+    loop = draw(st.integers(min_value=0, max_value=n - 1))
+    edges = edges + [(loop, loop)] + edges[:3]
+    return CSRGraph.from_edges(n, edges)
+
+
+class TestBfsMatchesOracle:
+    """``bfs_distances`` labels equal a one-vertex-at-a-time deque BFS."""
+
+    @given(
+        multigraphs(),
+        st.integers(min_value=0, max_value=11),
+        st.sampled_from(["in", "out", "both"]),
+        st.sampled_from([None, 0, 1, 2, SimRankConfig().effective_d_max]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_labels_equal_deque_bfs(self, graph, source, direction, max_distance):
+        source %= graph.n
+        dist = bfs_distances(graph, source, direction=direction, max_distance=max_distance)
+        expected = reference_bfs(graph, source, direction, max_distance)
+        assert dist.tolist() == expected
+
+    def test_duplicate_edges_and_self_loops(self):
+        # 0 -> 1 twice, 1 -> 1, 1 -> 2 twice, 3 -> 2, 2 -> 2.
+        graph = CSRGraph.from_edges(5, [(0, 1), (0, 1), (1, 1), (1, 2), (1, 2), (3, 2), (2, 2)])
+        for direction in ("in", "out", "both"):
+            for max_distance in (None, 0, 1, 2, 3):
+                for source in range(graph.n):
+                    dist = bfs_distances(graph, source, direction, max_distance)
+                    assert dist.tolist() == reference_bfs(graph, source, direction, max_distance)

@@ -13,10 +13,13 @@ The two acceptance-grade tests live here:
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import json
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -28,7 +31,7 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.obs.export import parse_prometheus
-from repro.serve import ServeClient, http_get
+from repro.serve import ServeClient, ServeConfig, ServerThread, SimRankServer, http_get
 from repro.serve.client import parse_healthz
 
 
@@ -332,6 +335,32 @@ class TestShutdown:
                 break
         else:
             pytest.fail("server still accepting connections after shutdown")
+
+    def test_stop_after_shutdown_op_leaves_no_coroutine(self, static_engine):
+        thread = ServerThread(SimRankServer(static_engine, ServeConfig(port=0)))
+        port = thread.start()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with ServeClient("127.0.0.1", port) as client:
+                client.shutdown()
+            thread.stop()
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_stop_closes_a_stop_the_loop_never_ran(self, static_engine):
+        # The race behind a shutdown op: the loop winds down between
+        # ServerThread.stop scheduling server.stop() and running it.
+        thread = ServerThread(SimRankServer(static_engine, ServeConfig(port=0)))
+        loop = asyncio.new_event_loop()  # never run
+        thread._loop = loop
+        thread._thread = threading.Thread(target=time.sleep, args=(0.1,))
+        thread._thread.start()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            thread.stop()
+            loop.close()
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestFlushPipelineServing:

@@ -15,6 +15,18 @@ within t reverse steps of v, any w there has distance from u in
 Proposition 4 gives ``s^(T)(u, v) ≤ β(u, d(u, v))``.  Tight when the
 query vertex has *low* degree (``P^t e_u`` stays concentrated).
 
+A walk position w at step t has d(u, w) ≤ t, so it never lies above a
+window.  Positions whose distance is unknown (a truncated BFS did not
+label them) or past ``d_max`` go to step t's *far bin*, which β(d)
+counts whenever its window reaches down to t (d - t ≤ t).  This is
+sound for any truncation.  The query phase labels to ρ0 = max(ball
+radius, ⌊d_max/2⌋ - 1), and from there the far bin gives exactly the
+β of full labels (proof in :func:`compute_alpha_beta`).  The walks
+themselves need no distances (:func:`l1_walks`), and their
+distance-free bound B* = Σ_{t≥1} c^t max_w D_ww P̂(u^(t) = w) dominates
+β(d) for every d ≥ 1, so the query phase checks B* against θ before it
+runs any BFS.
+
 **L2 bound** (§6.2, Algorithm 3).  Cauchy–Schwarz with
 ``γ(u, t) = ||√D P^t e_u||`` gives (Proposition 6)
 
@@ -37,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +67,8 @@ __all__ = [
     "trivial_bound",
     "paper_trivial_bound",
     "L1Bound",
+    "L1Walks",
+    "l1_walks",
     "compute_alpha_beta",
     "GammaTable",
     "compute_gamma",
@@ -88,13 +102,19 @@ def paper_trivial_bound(c: float, d: int) -> float:
 
 @dataclass
 class L1Bound:
-    """β(u, ·) table for one query vertex (output of Algorithm 2)."""
+    """β(u, ·) table for one query vertex (output of Algorithm 2).
+
+    ``alpha[d, t]`` holds the walk positions at step t whose distance d
+    is known and at most ``d_max``; ``far[t]`` holds the rest of step t
+    (unlabelled by a truncated BFS, or past ``d_max``).
+    """
 
     u: int
     c: float
     d_max: int
     alpha: np.ndarray  # (d_max + 1, T)
     beta: np.ndarray  # (d_max + 1,)
+    far: np.ndarray  # (T,)
 
     def bound(self, d: int) -> float:
         """Upper bound on s^(T)(u, v) for a vertex at distance ``d``.
@@ -107,6 +127,57 @@ class L1Bound:
         return float(self.beta[min(d, self.d_max)])
 
 
+@dataclass(frozen=True)
+class L1Walks:
+    """u's α walks of Algorithm 2, before any distance is known.
+
+    ``values`` is aligned with ``sketch.vertices``: the estimate
+    D_ww · P̂(u^(t) = w) for every position w of every step t.
+    """
+
+    c: float
+    sketch: FlatSketch
+    values: np.ndarray
+
+    def step(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions, values)`` of step t."""
+        lo, hi = int(self.sketch.offsets[t]), int(self.sketch.offsets[t + 1])
+        return self.sketch.vertices[lo:hi], self.values[lo:hi]
+
+    def distance_free_bound(self) -> float:
+        """B*(u) = Σ_{t≥1} c^t max_w D_ww P̂(u^(t) = w).
+
+        B* ≥ β(u, d) for every d ≥ 1: the t = 0 term of β is 0 off
+        d = 0, and a window's max is at most the step's max.  The sum
+        runs in β's t order, so the inequality also holds in floating
+        point.
+        """
+        weights = self.c ** np.arange(self.sketch.T)
+        total = 0.0
+        for t in range(1, self.sketch.T):
+            _, values = self.step(t)
+            if values.size:
+                total += weights[t] * values.max()
+        return float(total)
+
+
+def l1_walks(
+    graph: CSRGraph,
+    u: int,
+    config: Optional[SimRankConfig] = None,
+    seed: SeedLike = None,
+    diagonal: DiagonalLike = None,
+) -> L1Walks:
+    """The R = ``r_alphabeta`` reverse walks of Algorithm 2 from u."""
+    config = config or SimRankConfig()
+    if not 0 <= u < graph.n:
+        raise VertexError(u, graph.n)
+    d_vec = resolve_diagonal(graph.n, config.c, diagonal)
+    R = config.r_alphabeta
+    sketch = FlatSketch(WalkEngine(graph, ensure_rng(seed)).walk_matrix(u, R, config.T))
+    return L1Walks(c=config.c, sketch=sketch, values=d_vec[sketch.vertices] * sketch.counts / R)
+
+
 def compute_alpha_beta(
     graph: CSRGraph,
     u: int,
@@ -115,36 +186,47 @@ def compute_alpha_beta(
     diagonal: DiagonalLike = None,
     distances: Optional[np.ndarray] = None,
     symmetric_distance: bool = True,
+    walks: Optional[L1Walks] = None,
 ) -> L1Bound:
     """Algorithm 2: Monte-Carlo α(u, d, t) and β(u, d).
 
-    ``distances`` may carry a precomputed BFS distance array from u
-    (the query phase passes its undirected one); otherwise an in-BFS
-    is computed here.
+    ``walks`` may carry u's walks from :func:`l1_walks` (the query
+    phase simulates them before it knows any distance); otherwise they
+    are simulated here.  ``distances`` may carry BFS labels from u,
+    truncated at any depth (the query phase passes its undirected
+    ones); otherwise an in-BFS to ``d_max`` is run here.
+
+    A position w at step t has d(u, w) ≤ t, so it never sits above a
+    window.  Positions with no label, or a label past ``d_max``, go to
+    step t's far bin, which β(d) counts whenever its window reaches down
+    to t, i.e. d - t ≤ t (always when asymmetric).  That is sound for
+    any truncation.  It is exact — the same β as full labels — when the
+    labels reach ⌊d_max/2⌋ - 1: a far w then has d(u, w) ≥ ⌊d_max/2⌋ ≥
+    d - t whenever d ≤ 2t, so it lies in that window.
     Concentration: Proposition 5 / Corollary 2.
     """
     config = config or SimRankConfig()
     if not 0 <= u < graph.n:
         raise VertexError(u, graph.n)
-    d_vec = resolve_diagonal(graph.n, config.c, diagonal)
-    if distances is None:
-        distances = bfs_distances(graph, u, direction="in", max_distance=config.effective_d_max + config.T)
+    if walks is None:
+        walks = l1_walks(graph, u, config=config, seed=seed, diagonal=diagonal)
     d_max = config.effective_d_max
     T = config.T
-    R = config.r_alphabeta
-    engine = WalkEngine(graph, ensure_rng(seed))
-    sketch = FlatSketch(engine.walk_matrix(u, R, T))
+    if distances is None:
+        distances = bfs_distances(graph, u, direction="in", max_distance=d_max)
 
     alpha = np.zeros((d_max + 1, T))
+    far = np.zeros(T)
     for t in range(T):
-        vertices, counts = sketch.row(t)
+        vertices, values = walks.step(t)
         if vertices.size == 0:
             continue
-        values = d_vec[vertices] * counts / R
         dist_of = distances[vertices]
-        valid = (dist_of != UNREACHABLE) & (dist_of <= d_max)
-        if valid.any():
-            np.maximum.at(alpha[:, t], dist_of[valid], values[valid])
+        near = (dist_of != UNREACHABLE) & (dist_of <= d_max)
+        if near.any():
+            np.maximum.at(alpha[:, t], dist_of[near], values[near])
+        if not near.all():
+            far[t] = values[~near].max()
 
     # Row d of ``offset`` holds d' - d; step t's window is the d' with
     # -t <= d' - d <= t (only the upper side when asymmetric).  Entries
@@ -157,8 +239,13 @@ def compute_alpha_beta(
         window = offset <= t
         if symmetric_distance:
             window &= offset >= -t
-        beta += weights[t] * np.where(window, alpha[:, t], 0.0).max(axis=1)
-    return L1Bound(u=u, c=config.c, d_max=d_max, alpha=alpha, beta=beta)
+        best = np.where(window, alpha[:, t], 0.0).max(axis=1)
+        if far[t] > 0.0:
+            # The far bin joins every window that reaches down to t.
+            reached = levels - t <= t if symmetric_distance else levels >= 0
+            best = np.maximum(best, np.where(reached, far[t], 0.0))
+        beta += weights[t] * best
+    return L1Bound(u=u, c=config.c, d_max=d_max, alpha=alpha, beta=beta, far=far)
 
 
 @dataclass

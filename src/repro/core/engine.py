@@ -73,7 +73,7 @@ class SimRankEngine:
     ) -> None:
         self.graph = graph
         self.config = config or SimRankConfig()
-        self.diagonal = resolve_diagonal(graph.n, self.config.c, diagonal)
+        self.diagonal = _read_only(resolve_diagonal(graph.n, self.config.c, diagonal))
         self._seed = seed
         self._index: Optional[CandidateIndex] = None
         self._transition: Optional["sp.csr_matrix"] = None
@@ -196,7 +196,7 @@ class SimRankEngine:
             )
         self._index = loaded
         self.config = loaded.config
-        self.diagonal = resolve_diagonal(self.graph.n, self.config.c, None)
+        self.diagonal = _read_only(resolve_diagonal(self.graph.n, self.config.c, None))
         if obs.OBS.enabled:
             obs.record_index(loaded)
         return self
@@ -344,3 +344,9 @@ class SimRankEngine:
             f"SimRankEngine(n={self.graph.n}, m={self.graph.m}, "
             f"c={self.config.c}, T={self.config.T}, {state})"
         )
+
+
+def _read_only(diagonal: np.ndarray) -> np.ndarray:
+    """The engine's diagonal, frozen: every query shares it uncopied."""
+    diagonal.setflags(write=False)
+    return diagonal

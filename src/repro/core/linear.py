@@ -54,7 +54,10 @@ def resolve_diagonal(graph_n: int, c: float, diagonal: DiagonalLike) -> np.ndarr
     """Normalize a diagonal-correction argument to a length-n vector.
 
     ``None`` selects the paper's working approximation ``D = (1 - c) I``
-    (Section 3.3); a scalar broadcasts; an array is validated and copied.
+    (Section 3.3); a scalar broadcasts; an array is validated and copied,
+    unless it is a read-only float64 vector: that one is passed through
+    uncopied, so an engine's (read-only) diagonal reaches every
+    estimator a query builds without an O(n) copy.
     """
     if diagonal is None:
         return np.full(graph_n, 1.0 - c, dtype=np.float64)
@@ -65,7 +68,7 @@ def resolve_diagonal(graph_n: int, c: float, diagonal: DiagonalLike) -> np.ndarr
         raise ConfigError(
             f"diagonal must have shape ({graph_n},), got {vector.shape}"
         )
-    return vector.copy()
+    return vector if not vector.flags.writeable else vector.copy()
 
 
 def truncation_error_bound(c: float, T: int) -> float:

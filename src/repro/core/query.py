@@ -20,7 +20,11 @@ For a query vertex u the phase runs:
 The code runs this in two stages.  :func:`plan_query` does everything
 that does not depend on scores — the candidate set, the undirected BFS,
 the L1 β-vector and the per-candidate bounds — and returns one
-:class:`QueryPlan`.  :func:`scan` is the one shell loop: it walks the
+:class:`QueryPlan`.  It bounds before it traverses: u's L1 walks come
+first, and a query whose distance-free bound B* is below θ ends there,
+with an empty plan; otherwise the BFS stops at the smallest radius that
+keeps β exact, and goes deeper only as far as a candidate's bound can
+reach θ.  :func:`scan` is the one shell loop: it walks the
 plan, keeps the k-heap and decides who is pruned, screened and refined,
 taking every estimate from a score source ``scores(vertices, R)``.  A
 single process scores with its own estimator (:func:`estimator_scores`);
@@ -59,7 +63,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.traversal import UNREACHABLE, bfs_distances
 # Unused here; benchmarks/e2e/traced_server.py still wraps it by name.
 from repro.graph.traversal import distance_ball  # noqa: F401
-from repro.core.bounds import compute_alpha_beta, trivial_bound
+from repro.core.bounds import L1Walks, compute_alpha_beta, l1_walks, trivial_bound
 from repro.core.config import SimRankConfig
 from repro.core.index import CandidateIndex
 from repro.core.linear import DiagonalLike
@@ -130,9 +134,11 @@ class QueryPlan:
     ``bounds`` = min(trivial, L1, γ).  Bounds stop at the θ-floor
     termination shell — the first shell whose best remaining β is below
     θ — and are NaN from there on: no cutoff is below θ, so no scan
-    reads past it.  ``score_seed`` seeds the query's estimator, and
-    ``sketch_u`` is that estimator's sketch of u's own walks, which
-    every estimate is compared against.
+    reads past it.  A candidate the BFS never labelled sits in that
+    tail at a lumped distance, since its true one was not needed.
+    ``score_seed`` seeds the query's estimator, and ``sketch_u`` is that
+    estimator's sketch of u's own walks, which every estimate is
+    compared against.
     """
 
     u: int
@@ -185,9 +191,25 @@ def plan_query(
     and the fallback fires on 30 of 30 queries: the ball is the common
     case.
 
-    One undirected BFS from u serves the whole plan: its labels give
-    the ball (``reach <= fallback_ball_radius``), the candidates' scan
-    distances and the distances of β's walk supports.
+    The plan bounds before it traverses (see ``docs/performance.md``):
+
+    1. u's L1 walks run first; they need no distances.  When their
+       distance-free bound B* (which dominates β(d) for every d ≥ 1) is
+       below θ, no candidate can reach θ and the plan is empty: no BFS,
+       no H lookup, no γ and no sketch of u.
+    2. Otherwise one undirected BFS labels to ρ0 = max(
+       ``fallback_ball_radius``, ⌊d_max/2⌋ - 1).  That gives the ball
+       and, with the far bin of :func:`compute_alpha_beta`, exactly the
+       β of full labels.
+    3. The horizon h is the first distance from which no β reaches θ.
+       If a candidate is still unlabelled and h - 1 > ρ0, the same BFS
+       resumes towards depth h - 1, and stops once every candidate has
+       a label.  A candidate left unlabelled scans at min(depth + 1,
+       d_max): that is d_max, as with full labels, when no β falls
+       below θ, and in or past the θ-floor shell otherwise.
+
+    With ``use_l1=False`` there is no β to stop on, and the BFS runs to
+    ``max(d_max, fallback_ball_radius)``.
     """
     config = config or (index.config if index is not None else SimRankConfig())
     if not 0 <= u < graph.n:
@@ -202,7 +224,21 @@ def plan_query(
 
     d_max = config.effective_d_max
     radius = config.fallback_ball_radius
-    reach = bfs_distances(graph, u, direction="both", max_distance=max(d_max, radius))
+    plan = QueryPlan(
+        u=u, k=k, config=config, adaptive=adaptive, fallback_used=False,
+        candidates=np.empty(0, dtype=np.int64), distances=np.empty(0, dtype=np.int64),
+        bounds=np.empty(0, dtype=np.float64), beta=None, score_seed=None,
+        sketch_u=None,
+    )
+    walks: Optional[L1Walks] = None
+    depth = max(d_max, radius)
+    if use_l1:
+        walks = l1_walks(graph, u, config=config, seed=derive_seed(seed, u, 101),
+                         diagonal=diagonal)
+        if walks.distance_free_bound() < config.theta:
+            return plan
+        depth = max(radius, d_max // 2 - 1)
+    reach = bfs_distances(graph, u, direction="both", max_distance=depth)
     indexed = index.candidates(u) if index is not None else []
     fallback_used = len(indexed) < 2 * k
     parts = [np.array(indexed, dtype=np.int64), np.array(extra, dtype=np.int64)]
@@ -210,39 +246,39 @@ def plan_query(
         parts.append(np.flatnonzero((reach != UNREACHABLE) & (reach <= radius)))
     vertices = np.unique(np.concatenate(parts))
     vertices = vertices[vertices != u]
-    plan = QueryPlan(
-        u=u, k=k, config=config, adaptive=adaptive, fallback_used=fallback_used,
-        candidates=np.empty(0, dtype=np.int64), distances=np.empty(0, dtype=np.int64),
-        bounds=np.empty(0, dtype=np.float64), beta=None, score_seed=None,
-        sketch_u=None,
-    )
+    plan = dataclasses.replace(plan, fallback_used=fallback_used)
     if not vertices.size:
         return plan
 
     beta: Optional[np.ndarray] = None
-    if use_l1:
+    if walks is not None:
         beta = compute_alpha_beta(
-            graph,
-            u,
-            config=config,
-            seed=derive_seed(seed, u, 101),
-            diagonal=diagonal,
-            distances=reach,
+            graph, u, config=config, diagonal=diagonal, distances=reach, walks=walks
         ).beta
+        # β has one entry per distance 0..d_max; from the horizon on no
+        # β reaches θ, so no scan needs a distance past horizon - 1.
+        remaining_best = np.maximum.accumulate(beta[::-1])[::-1]
+        below_floor = remaining_best < config.theta
+        horizon = int(np.argmax(below_floor)) if below_floor.any() else d_max + 1
+        unlabelled = vertices[reach[vertices] == UNREACHABLE]
+        if unlabelled.size and horizon - 1 > depth:
+            depth = horizon - 1
+            reach = bfs_distances(graph, u, direction="both", max_distance=depth,
+                                  resume_from=reach, targets=unlabelled)
 
+    # An unlabelled candidate lies past ``depth``, or is unreachable.
     distances = reach[vertices]
-    distances[(distances == UNREACHABLE) | (distances > d_max)] = d_max
+    distances[distances == UNREACHABLE] = min(depth + 1, d_max)
+    np.minimum(distances, d_max, out=distances)
     order = np.lexsort((vertices, distances))  # last key is primary
     vertices, distances = vertices[order], distances[order]
 
     end = vertices.size
     by_distance = np.array([trivial_bound(config.c, d) for d in range(d_max + 1)])
     if beta is not None:
-        # β has one entry per distance 0..d_max, like by_distance.
-        remaining_best = np.maximum.accumulate(beta[::-1])[::-1]
-        below_floor = remaining_best[distances] < config.theta
-        if below_floor.any():
-            end = int(np.argmax(below_floor))
+        below = below_floor[distances]
+        if below.any():
+            end = int(np.argmax(below))
         by_distance = np.minimum(by_distance, beta)
     bounds = np.full(vertices.size, np.nan)
     bounds[:end] = by_distance[distances[:end]]

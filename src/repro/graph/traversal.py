@@ -44,6 +44,8 @@ def bfs_distances(
     source: int,
     direction: Direction = "in",
     max_distance: int | None = None,
+    resume_from: np.ndarray | None = None,
+    targets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Hop distances from ``source``; unreachable vertices get ``-1``.
 
@@ -52,6 +54,12 @@ def bfs_distances(
     treats the graph as undirected.
     ``max_distance`` truncates the search frontier, which is how the
     query phase only explores the local ball around the query vertex.
+
+    ``resume_from`` takes the labels an earlier, truncated call with the
+    same ``source`` and ``direction`` returned, and carries that search
+    on from its deepest level, labelling in place and returning the same
+    array.  No level is labelled twice.  ``targets`` ends the search
+    after the level that labels the last of them.
 
     Level-synchronous and numpy-vectorised: each BFS level is one
     gather of the frontier's neighbors, one mask of the unlabelled ones,
@@ -63,12 +71,21 @@ def bfs_distances(
         raise VertexError(source, graph.n)
     if direction not in ("in", "out", "both"):
         raise ValueError(f"unknown direction {direction!r}")
-    dist = np.full(graph.n, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
+    if resume_from is None:
+        dist = np.full(graph.n, UNREACHABLE, dtype=np.int64)
+        dist[source] = 0
+        level = 0
+        frontier = np.array([source], dtype=np.int64)
+    else:
+        if resume_from.shape != (graph.n,) or resume_from[source] != 0:
+            raise ValueError("resume_from must hold the labels of a BFS from source")
+        dist = resume_from
+        level = int(dist.max())
+        frontier = np.flatnonzero(dist == level)
     slot = np.empty(graph.n, dtype=np.int64)
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
     while frontier.size and (max_distance is None or level < max_distance):
+        if targets is not None and (dist[targets] != UNREACHABLE).all():
+            break
         gathered = []
         if direction in ("in", "both"):
             gathered.append(_gather_neighbors(graph.in_indptr, graph.in_indices, frontier))

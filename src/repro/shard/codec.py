@@ -69,9 +69,7 @@ def engine_from_arrays(
     """Rebuild a queryable engine over existing arrays (zero-copy).
 
     The result answers ``top_k`` / ``single_pair`` bit-identically to
-    the exporting engine (same config, same seed, same index payload);
-    only the diagonal vector is copied (``resolve_diagonal`` copies
-    defensively — n floats, negligible).
+    the exporting engine (same config, same seed, same index payload).
     """
     try:
         n = int(meta["n"])

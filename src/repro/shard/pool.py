@@ -436,17 +436,21 @@ class ShardPool:
                 extra_candidates=extra_candidates,
             )
             plan_seconds = time.thread_time() - plan_start
-            futures = [
-                w.request({
-                    "op": "query",
-                    "epoch": pinned,
-                    "plan": plan.select(
-                        self.partition.owned_mask(plan.candidates, w.shard_id)
-                    ),
-                })
-                for w in self.workers
-            ]
-            results = self._gather(futures, "query")
+            if len(plan):
+                futures = [
+                    w.request({
+                        "op": "query",
+                        "epoch": pinned,
+                        "plan": plan.select(
+                            self.partition.owned_mask(plan.candidates, w.shard_id)
+                        ),
+                    })
+                    for w in self.workers
+                ]
+                results = self._gather(futures, "query")
+            else:
+                # Nothing to score: no shard is asked, and none is busy.
+                results = [{"scores": {}, "busy_seconds": 0.0} for _ in self.workers]
             merged = replay_merge(plan, results)
         finally:
             self._unpin(pinned)

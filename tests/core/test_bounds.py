@@ -7,8 +7,9 @@ import pytest
 
 from repro.core.bounds import combined_upper_bound, compute_alpha_beta, compute_gamma, compute_gamma_all, paper_trivial_bound, trivial_bound
 from repro.core.config import SimRankConfig
-from repro.core.linear import single_pair_series
+from repro.core.linear import all_pairs_series, single_pair_series
 from repro.errors import ConfigError, VertexError
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import cycle_graph, star_graph
 from repro.graph.traversal import bfs_distances
 from tests.plan_oracle import reference_beta
@@ -106,8 +107,39 @@ class TestL1Bound:
             l1 = compute_alpha_beta(
                 web_graph, u, config, seed=u, distances=dist, symmetric_distance=symmetric
             )
-            expected = reference_beta(l1.alpha, config.c, symmetric)
+            expected = reference_beta(l1.alpha, config.c, symmetric, far=l1.far)
             assert l1.beta.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("d_max", [None, 1])
+    def test_positions_past_d_max_still_bound(self, d_max):
+        # u <- x_i <- w and v <- y_i <- w: the walks from u and v meet at
+        # w at t = 2, two hops past d_max = 1.  d(u, v) = 4 clamps to
+        # d_max, and β there must still cover s^(T)(u, v) = c^2 (1 - c).
+        u, v, w = 0, 1, 2
+        xs, ys = range(3, 13), range(13, 23)
+        edges = [(x, u) for x in xs] + [(w, x) for x in xs]
+        edges += [(y, v) for y in ys] + [(w, y) for y in ys]
+        graph = CSRGraph.from_edges(23, edges)
+        config = SimRankConfig(T=4, d_max=d_max, r_alphabeta=200)
+        exact = all_pairs_series(graph, c=config.c, T=config.T)[u, v]
+        assert exact == pytest.approx(0.144)
+        for distances in (None, bfs_distances(graph, u, direction="both")):
+            l1 = compute_alpha_beta(graph, u, config, seed=0, distances=distances)
+            assert l1.bound(4) >= exact
+
+    def test_truncated_labels_are_sound(self, web_graph):
+        # Labels cut at any depth put the rest in the far bin: β never
+        # drops below the β of full labels.
+        config = SimRankConfig(T=8, r_alphabeta=500)
+        for u in (3, 17, 40):
+            full = bfs_distances(web_graph, u, direction="both")
+            expected = compute_alpha_beta(web_graph, u, config, seed=u, distances=full).beta
+            for depth in range(config.T):
+                cut = bfs_distances(web_graph, u, direction="both", max_distance=depth)
+                beta = compute_alpha_beta(web_graph, u, config, seed=u, distances=cut).beta
+                assert (beta >= expected).all()
+                if depth >= config.effective_d_max // 2 - 1:
+                    assert beta.tolist() == expected.tolist()
 
     def test_cycle_alpha_exact(self):
         # Deterministic walks: alpha(u, d, t) = (1-c) exactly when the

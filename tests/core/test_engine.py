@@ -154,3 +154,33 @@ class TestEstimatedDiagonal:
         )
         assert (engine.diagonal >= 1 - test_config.c - 1e-9).all()
         assert (engine.diagonal <= 1 + 1e-9).all()
+
+
+class TestSharedDiagonal:
+    """A query's estimators read the engine's diagonal; none copies it."""
+
+    @pytest.mark.parametrize("diagonal", [None, 0.5, "vector"])
+    def test_estimators_share_the_read_only_diagonal(
+        self, social_graph, test_config, monkeypatch, diagonal
+    ):
+        import repro.core.query as query_module
+
+        given = np.linspace(0.4, 1.0, social_graph.n) if diagonal == "vector" else diagonal
+        engine = SimRankEngine(social_graph, test_config, diagonal=given, seed=1).preprocess()
+        if isinstance(given, np.ndarray):
+            assert not np.shares_memory(engine.diagonal, given)
+        seen = []
+
+        class Recording(query_module.SingleSourceEstimator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.diagonal)
+
+        monkeypatch.setattr(query_module, "SingleSourceEstimator", Recording)
+        for u in range(0, social_graph.n, 6):
+            engine.top_k(u)
+        assert seen
+        for vector in seen:
+            assert np.shares_memory(vector, engine.diagonal)
+            with pytest.raises(ValueError):
+                vector[0] = 0.0

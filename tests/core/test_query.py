@@ -5,11 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import SimRankConfig
 from repro.core.exact import exact_simrank, exact_top_k
-from repro.core.index import build_index
-from repro.core.query import plan_query, top_k_query
+from repro.core.index import CandidateIndex, build_index
+from repro.core.query import estimator_scores, plan_query, scan, top_k_query
 from repro.errors import VertexError
-from tests.plan_oracle import reference_plan
+from repro.graph.csr import CSRGraph
+from repro.graph.generators import copying_web_graph, cycle_graph, forest_fire
+from repro.graph.traversal import UNREACHABLE
+from tests.plan_oracle import assert_plan_preserves, reference_plan
 
 
 @pytest.fixture
@@ -181,23 +185,23 @@ class TestThresholdTermination:
 
 
 class TestPlanMatchesOldConstruction:
-    """``plan_query`` against a set-based candidate build and a second BFS."""
+    """``plan_query`` against a set-based candidate build and a full BFS."""
 
     @pytest.mark.parametrize("with_index", [True, False])
     @pytest.mark.parametrize("k", [1, 5, 20])
     def test_candidates_distances_bounds(self, web_graph, test_config, with_index, k):
         index = build_index(web_graph, test_config, seed=0) if with_index else None
-        fallbacks = []
+        fallbacks, emptied = [], []
         for u in range(0, web_graph.n, 7):
             plan = plan_query(web_graph, index, u, k=k, config=test_config, seed=u)
-            vertices, distances, bounds = reference_plan(
-                web_graph, index, u, k, test_config, seed=u
-            )
-            assert plan.candidates.tolist() == vertices.tolist()
-            assert plan.distances.tolist() == distances.tolist()
-            np.testing.assert_array_equal(plan.bounds, bounds)
-            fallbacks.append(plan.fallback_used)
-        # Without an index every plan falls back; at k = 1 H alone often suffices.
+            reference = reference_plan(web_graph, index, u, k, test_config, seed=u)
+            emptied.append(assert_plan_preserves(plan, reference))
+            fallbacks.append(reference.fallback_used)
+        # Vertices with no in-links have B* = 0; the others plan in full.
+        assert any(emptied) and not all(emptied)
+        # The queries cover both candidate builds (an unemptied plan has
+        # the reference's ``fallback_used``): without an index every plan
+        # falls back; at k = 1 H alone often suffices.
         if index is None:
             assert all(fallbacks)
         elif k == 1:
@@ -210,12 +214,8 @@ class TestPlanMatchesOldConstruction:
         for config in (test_config, test_config.with_(fallback_ball_radius=0)):
             plan = plan_query(social_graph, index, 3, k=5, config=config, seed=1,
                               extra_candidates=extra)
-            vertices, distances, bounds = reference_plan(
-                social_graph, index, 3, 5, config, seed=1, extra=extra
-            )
-            assert plan.candidates.tolist() == vertices.tolist()
-            assert plan.distances.tolist() == distances.tolist()
-            np.testing.assert_array_equal(plan.bounds, bounds)
+            reference = reference_plan(social_graph, index, 3, 5, config, seed=1, extra=extra)
+            assert not assert_plan_preserves(plan, reference)
             assert {0, social_graph.n - 1, 7} <= set(plan.candidates.tolist())
 
     def test_ball_wider_than_d_max(self, web_graph, test_config):
@@ -224,27 +224,85 @@ class TestPlanMatchesOldConstruction:
         config = test_config.with_(d_max=1, fallback_ball_radius=3)
         for u in (0, 9, 33):
             plan = plan_query(web_graph, None, u, k=5, config=config, seed=u)
-            vertices, distances, bounds = reference_plan(web_graph, None, u, 5, config, seed=u)
-            assert plan.candidates.tolist() == vertices.tolist()
-            assert plan.distances.tolist() == distances.tolist()
-            np.testing.assert_array_equal(plan.bounds, bounds)
+            assert_plan_preserves(plan, reference_plan(web_graph, None, u, 5, config, seed=u))
+            assert plan.distances.max(initial=0) <= 1
 
     def test_one_bfs_per_planned_query(self, web_graph, test_config, monkeypatch):
+        # At most one traversal per query, none when B* empties the plan,
+        # and a resumed BFS only labels levels past the ones it had.
         import repro.core.query as query_module
 
         index = build_index(web_graph, test_config, seed=0)
         calls = []
         real_bfs = query_module.bfs_distances
 
-        def counting_bfs(graph, source, *args, **kwargs):
-            calls.append(int(source))
-            return real_bfs(graph, source, *args, **kwargs)
+        def recording_bfs(graph, source, *args, resume_from=None, **kwargs):
+            before = None if resume_from is None else resume_from.copy()
+            labels = real_bfs(graph, source, *args, resume_from=resume_from, **kwargs)
+            if before is not None:
+                known = before != UNREACHABLE
+                assert labels[known].tolist() == before[known].tolist()
+                assert (labels[~known & (labels != UNREACHABLE)] > before.max()).all()
+            calls.append((int(source), before is not None))
+            return labels
 
-        monkeypatch.setattr(query_module, "bfs_distances", counting_bfs)
-        queries = list(range(0, web_graph.n, 5))
-        for u in queries:
-            result = top_k_query(web_graph, index, u, k=20, config=test_config, seed=u)
-            assert result.stats.fallback_used
-        for u in queries:
-            top_k_query(web_graph, None, u, k=5, config=test_config, seed=u)
-        assert calls == queries + queries
+        monkeypatch.setattr(query_module, "bfs_distances", recording_bfs)
+
+        def traversals(graph, index, u, config, extra=None):
+            del calls[:]
+            result = top_k_query(graph, index, u, k=20, config=config, seed=u,
+                                 extra_candidates=extra)
+            fresh = [source for source, again in calls if not again]
+            assert fresh == ([u] if result.stats.candidates else [])
+            assert all(source == u for source, _ in calls)
+            assert len(calls) <= 2
+            return len(calls) - len(fresh)
+
+        for config in (test_config, test_config.with_(theta=0.0)):
+            for index_or_none in (index, None):
+                for u in range(0, web_graph.n, 5):
+                    traversals(web_graph, index_or_none, u, config)
+        # A candidate 20 hops round a cycle is past ρ0 = 3; at θ = 0 the
+        # horizon is d_max + 1, so the BFS resumes to d_max.
+        ring = cycle_graph(40)
+        assert traversals(ring, None, 0, test_config.with_(theta=0.0), extra=[20]) == 1
+
+
+class TestTopKMatchesFullBfsPlan:
+    """``top_k`` items equal the scan of a full-BFS plan."""
+
+    @staticmethod
+    def graphs(config):
+        web = copying_web_graph(120, out_degree=4, seed=5)
+        fire = forest_fire(120, seed=5)
+        # Two copies of one web graph; H also gives some vertices of the
+        # first copy candidates in the second, which no BFS from u reaches.
+        half = copying_web_graph(60, out_degree=3, seed=9)
+        edges = half.edge_array()
+        split = CSRGraph.from_edges(120, np.concatenate([edges, edges + 60]).tolist())
+        base = build_index(split, config, seed=1)
+        signatures = base.H.edge_array()
+        hub = int(np.bincount(signatures[signatures[:, 0] >= 60, 1]).argmax())
+        bridged = np.concatenate([signatures, [[u, hub] for u in range(0, 60, 4)]])
+        H = CSRGraph.from_edges(120, np.unique(bridged, axis=0).tolist())
+        index = CandidateIndex(config=base.config, H=H, gamma=base.gamma)
+        return [(web, build_index(web, config, seed=1)),
+                (fire, build_index(fire, config, seed=1)),
+                (split, index)]
+
+    @pytest.mark.parametrize("profile", ["fast", "paper", "test"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"d_max": 2}, {"d_max": 5}, {"d_max": 12}, {"theta": 0.0}],
+        ids=["d_max=None", "d_max=2", "d_max=5", "d_max=12", "theta=0"],
+    )
+    def test_items_equal(self, test_config, profile, overrides):
+        base = {"fast": SimRankConfig.fast(), "paper": SimRankConfig.paper(),
+                "test": test_config}[profile]
+        config = base.with_(**overrides)
+        for graph, index in self.graphs(config):
+            for u in range(0, graph.n, 8):
+                got = top_k_query(graph, index, u, config=config, seed=u)
+                plan = reference_plan(graph, index, u, config.k, config, seed=u)
+                want = scan(plan, plan.k, estimator_scores(graph, plan))
+                assert got.items == want.items

@@ -51,6 +51,35 @@ class TestScatterGather:
         assert len(timings["busy_seconds"]) == 2
         assert all(b >= 0 for b in timings["busy_seconds"])
 
+    def test_empty_plan_is_not_scattered(self, pool, shard_engine, monkeypatch):
+        # At θ = 0.3 most vertices have B* < θ, so their plans are empty.
+        view = shard_engine.with_config(theta=0.3)
+        empty = [u for u in range(0, shard_engine.graph.n, 5)
+                 if view.top_k(u).stats.candidates == 0]
+        assert empty
+        ops = []
+        for worker in pool.workers:
+            def request(msg, _real=worker.request):
+                ops.append(msg["op"])
+                return _real(msg)
+
+            monkeypatch.setattr(worker, "request", request)
+        pool.set_overrides({"theta": 0.3})
+        try:
+            for u in empty:
+                timings = {}
+                merged = pool.top_k(u, timings_out=timings)
+                reference = view.top_k(u)
+                assert merged.items == reference.items == []
+                got, want = asdict(merged.stats), asdict(reference.stats)
+                got.pop("elapsed_seconds")
+                want.pop("elapsed_seconds")
+                assert got == want
+                assert timings["busy_seconds"] == [0.0, 0.0]
+        finally:
+            pool.set_overrides({})
+        assert "query" not in ops
+
     def test_pair_routed_to_owning_shard(self, pool, shard_engine):
         assert pool.single_pair(3, 3) == 1.0
         for u, v in [(0, 1), (3, 77), (118, 2)]:

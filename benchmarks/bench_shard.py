@@ -1,35 +1,40 @@
-"""Scatter-gather cost: ``ShardPool`` at 1/2/4 shards.
+"""Query routing cost: ``ShardPool`` at 1/2/4 shards.
 
 The workload is the one sharding exists for: *hub* queries — vertices
 whose θ-floor candidate sets are largest, i.e. the most expensive
-single-source queries the serving tier sees.  Each query is scattered
-through a real multi-process :class:`~repro.shard.pool.ShardPool`
-(spawn workers, shared-memory attach, merge), so wall time includes the
-true coordination overhead: planning, pickling, pipe transfer, and the
-coordinator's merge scan.
+single-source queries the serving tier sees.  Each query is routed
+whole through a real multi-process :class:`~repro.shard.pool.ShardPool`
+(spawn workers, shared-memory attach, pipe transfer), so wall time
+includes the true coordination overhead.
 
-Accounting.  Per shard count the sidecar records measured wall time
-and CPU time: the coordinator's planning CPU (``plan_seconds``) plus
-every worker's busy CPU (``busy_seconds``).  Each query runs several
-rounds and keeps its cheapest, which filters out bursts of load from
-other processes on the host.  The wall-clock speedup over one shard is
-recorded only when the host has at least as many cores as shards;
-otherwise workers time-slice the cores and the speedup is recorded as
-unmeasurable (``null``).
+Accounting.  Per shard count the sidecar records two passes over the
+hubs.  The *loaded* pass keeps ``n_shards`` queries in flight from as
+many threads, which is how a server uses the pool; it records the
+pass's wall time and the summed worker CPU (``busy_seconds``).  The
+*lone* pass sends one query at a time and records their summed wall
+time: one query runs on one worker, so more shards do not make it
+faster.  Each query keeps its cheapest round, and each pass its
+cheapest round, which filters out bursts of load from other processes
+on the host.  The throughput speedup over one shard is recorded only
+when the host has at least as many cores as shards; otherwise workers
+time-slice the cores and it is recorded as unmeasurable (``null``).
 
 The regression gate asserts bit-identity against the single-process
 engine on every query, and that sharding does not multiply work: the
-CPU time at 4 shards stays within 10% of the CPU time at 1 shard (25%
-in ``REPRO_BENCH_QUICK=1`` smoke runs, which measure fewer queries and
-rounds and are therefore noisier).  CPU time measures work only while
-the workers do not slow each other down: where concurrently running
-processes share physical cores or a busy hypervisor, each one burns
-more CPU time for the same work, and that shows up here as growth.
+worker CPU at 4 shards stays within 10% of the worker CPU at 1 shard
+(25% in ``REPRO_BENCH_QUICK=1`` smoke runs, which measure fewer
+queries and rounds and are therefore noisier).  CPU time measures work
+only while the workers do not slow each other down: where concurrently
+running processes share physical cores or a busy hypervisor, each one
+burns more CPU time for the same work, and that shows up here as
+growth.
 """
 
 from __future__ import annotations
 
 import os
+import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
@@ -43,11 +48,11 @@ from repro.utils.bench import write_sidecar
 
 SIDECAR_PATH = Path(__file__).resolve().parent.parent / "BENCH_shard.json"
 
-#: Shard counts compared; 1 is the scatter-gather baseline (one worker
-#: owning every vertex), so coordination overhead is paid on both sides.
+#: Shard counts compared; 1 is the routing baseline (one worker
+#: answering every query), so coordination overhead is paid on both sides.
 SHARD_COUNTS = (1, 2, 4)
 
-#: Allowed growth of planning + worker CPU from 1 to 4 shards.
+#: Allowed growth of worker CPU from 1 to 4 shards.
 CPU_GROWTH_LIMIT = 1.10
 QUICK_CPU_GROWTH_LIMIT = 1.25
 
@@ -66,11 +71,18 @@ def _hub_vertices(engine: SimRankEngine, n_hubs: int, sample_n: int) -> List[int
     return [u for _, u in ranked[:n_hubs]]
 
 
+def _routed(pool: ShardPool, u: int) -> Tuple[Any, float, float]:
+    """``(items, wall seconds, worker CPU seconds)`` of one routed query."""
+    timings: Dict[str, Any] = {}
+    result = pool.top_k(u, timings_out=timings)
+    return result.items, float(timings["wall_seconds"]), sum(timings["busy_seconds"])
+
+
 class TestShardThroughput:
-    def test_scatter_gather_cost_and_sidecar(self, bench_config):
+    def test_routing_cost_and_sidecar(self, bench_config):
         quick = os.environ.get("REPRO_BENCH_QUICK") == "1"
-        # Hub serving workload: a low θ keeps the θ-floor wide, so the
-        # shards divide a large screening and refinement budget.
+        # Hub serving workload: a low θ keeps the θ-floor wide, so each
+        # query screens and refines a large candidate set.
         config = bench_config.with_(theta=0.0005)
         graph = copying_web_graph(6000, out_degree=6, seed=31)
         engine = SimRankEngine(graph, config, seed=7).preprocess()
@@ -80,36 +92,47 @@ class TestShardThroughput:
         expected = {u: engine.top_k(u).items for u in hubs}
 
         cpu_count = os.cpu_count() or 1
-        # Per (shard count, query): (cpu, wall, plan, busy) of each round.
-        samples: Dict[int, Dict[int, List[Tuple[float, ...]]]] = {
+        # Per shard count: each query's busy CPU (loaded pass) and wall
+        # time (lone pass) of each round, and each loaded pass's wall.
+        busy: Dict[int, Dict[int, List[float]]] = {
             s: {u: [] for u in hubs} for s in SHARD_COUNTS
         }
+        lone: Dict[int, Dict[int, List[float]]] = {
+            s: {u: [] for u in hubs} for s in SHARD_COUNTS
+        }
+        loaded_wall: Dict[int, List[float]] = {s: [] for s in SHARD_COUNTS}
         with ExitStack() as stack:
             pools = {s: stack.enter_context(ShardPool(engine, s)) for s in SHARD_COUNTS}
-            for pool in pools.values():
-                pool.top_k(hubs[0])  # warm every worker's query path
+            threads = {
+                s: stack.enter_context(ThreadPoolExecutor(s)) for s in SHARD_COUNTS
+            }
+            for n_shards, pool in pools.items():
+                # Warm every worker's query path.
+                list(threads[n_shards].map(lambda u, p=pool: p.top_k(u), hubs))
             # Rounds alternate the pools, so slow spells of the host hit
-            # all shard counts alike; each query keeps its cheapest round.
+            # all shard counts alike.
             for _ in range(2 if quick else ROUNDS):
                 for n_shards, pool in pools.items():
+                    start = time.perf_counter()
+                    replies = list(
+                        threads[n_shards].map(lambda u, p=pool: _routed(p, u), hubs)
+                    )
+                    loaded_wall[n_shards].append(time.perf_counter() - start)
+                    for u, (items, _, cpu) in zip(hubs, replies):
+                        assert items == expected[u]
+                        busy[n_shards][u].append(cpu)
                     for u in hubs:
-                        timings: Dict[str, Any] = {}
-                        result = pool.top_k(u, timings_out=timings)
-                        assert result.items == expected[u]
-                        plan = float(timings["plan_seconds"])
-                        busy = sum(float(b) for b in timings["busy_seconds"])
-                        samples[n_shards][u].append(
-                            (plan + busy, float(timings["wall_seconds"]), plan, busy)
-                        )
-        runs: Dict[str, Dict[str, float]] = {}
-        for n_shards, per_query in samples.items():
-            cheapest = [min(rounds) for rounds in per_query.values()]
-            runs[str(n_shards)] = {
-                key: sum(sample[i] for sample in cheapest)
-                for i, key in enumerate(
-                    ("cpu_seconds", "wall_seconds", "plan_seconds", "busy_seconds")
-                )
+                        items, wall, _ = _routed(pool, u)
+                        assert items == expected[u]
+                        lone[n_shards][u].append(wall)
+        runs: Dict[str, Dict[str, float]] = {
+            str(s): {
+                "cpu_seconds": sum(min(rounds) for rounds in busy[s].values()),
+                "wall_seconds": min(loaded_wall[s]),
+                "lone_wall_seconds": sum(min(rounds) for rounds in lone[s].values()),
             }
+            for s in SHARD_COUNTS
+        }
 
         baseline = runs[str(SHARD_COUNTS[0])]
         speedups = {

@@ -7,9 +7,8 @@ lives in two files and nothing type-checks a pickle.  A send whose op
 the worker does not dispatch fails *at runtime on every shard at once*
 (an ``unknown op`` error reply), and a missing required field fails
 inside the handler as a ``KeyError`` forwarded back as a string.  Both
-are statically visible, and the bit-identity contract of
-:mod:`repro.shard.merge` (§5–§6 replay) requires every shard to see
-the same, complete message.
+are statically visible, and a routed query's bit-identity with the
+local engine requires the worker to see the complete message.
 
 What the rule extracts (from ``shard/*.py`` only — the serve layer has
 its own, differently-shaped ``op`` protocol):

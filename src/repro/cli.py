@@ -215,7 +215,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     async def _run() -> None:
         port = await server.start()
         backend = (
-            f"{serve_config.shards}-shard scatter-gather"
+            f"{serve_config.shards}-shard query routing"
             if serve_config.shards
             else "single-process"
         )

@@ -190,7 +190,8 @@ class SingleSourceEstimator:
         Algorithm 5's screen and refine phases.
         """
         samples = R if R is not None else self.config.r_pair
-        cand = np.asarray([int(v) for v in candidates], dtype=np.int64)
+        # An int64 array passes through uncopied; anything else is coerced.
+        cand = np.asarray(candidates, dtype=np.int64)
         if cand.size and (cand.min() < 0 or cand.max() >= self.graph.n):
             offender = int(cand[(cand < 0) | (cand >= self.graph.n)][0])
             raise VertexError(offender, self.graph.n)

@@ -26,10 +26,9 @@ with an empty plan; otherwise the BFS stops at the smallest radius that
 keeps β exact, and goes deeper only as far as a candidate's bound can
 reach θ.  :func:`scan` is the one shell loop: it walks the
 plan, keeps the k-heap and decides who is pruned, screened and refined,
-taking every estimate from a score source ``scores(vertices, R)``.  A
-single process scores with its own estimator (:func:`estimator_scores`);
-the sharded coordinator plans once, lets each worker scan its slice of
-the plan at the θ-floor, and scans again over the gathered estimates
+taking every estimate from a score source ``scores(vertices, R)``,
+which is the query's own estimator (:func:`estimator_scores`).  A
+sharded deployment runs both stages whole in one worker process
 (:mod:`repro.shard`).
 
 The scan is *shell-batched*: candidates at the same distance form one
@@ -80,6 +79,7 @@ __all__ = [
     "TopKResult",
     "estimator_scores",
     "plan_query",
+    "query_args",
     "scan",
     "top_k_query",
 ]
@@ -138,7 +138,8 @@ class QueryPlan:
     tail at a lumped distance, since its true one was not needed.
     ``score_seed`` seeds the query's estimator, and ``sketch_u`` is that
     estimator's sketch of u's own walks, which every estimate is
-    compared against.
+    compared against.  ``walks`` counts the walks planning simulated:
+    the L1 walks, even when they emptied the plan, and u's own walks.
     """
 
     u: int
@@ -152,18 +153,31 @@ class QueryPlan:
     beta: Optional[np.ndarray]
     score_seed: Optional[int]
     sketch_u: Optional[FlatSketch]
+    walks: int
 
     def __len__(self) -> int:
         return int(self.candidates.size)
 
-    def select(self, mask: np.ndarray) -> "QueryPlan":
-        """The plan restricted to the candidates where ``mask`` holds."""
-        return dataclasses.replace(
-            self,
-            candidates=self.candidates[mask],
-            distances=self.distances[mask],
-            bounds=self.bounds[mask],
-        )
+
+def query_args(
+    n: int,
+    u: int,
+    k: Optional[int],
+    config: SimRankConfig,
+    extra_candidates: Optional[Sequence[int]],
+) -> Tuple[int, List[int]]:
+    """The validated ``(k, extra candidates)`` of a query for ``u`` on a
+    graph of ``n`` vertices; raises before any work is done."""
+    if not 0 <= u < n:
+        raise VertexError(u, n)
+    k = k if k is not None else config.k
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    extra = [int(v) for v in extra_candidates] if extra_candidates is not None else []
+    for v in extra:
+        if not 0 <= v < n:
+            raise VertexError(v, n)
+    return k, extra
 
 
 def plan_query(
@@ -212,15 +226,7 @@ def plan_query(
     ``max(d_max, fallback_ball_radius)``.
     """
     config = config or (index.config if index is not None else SimRankConfig())
-    if not 0 <= u < graph.n:
-        raise VertexError(u, graph.n)
-    k = k if k is not None else config.k
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    extra = [int(v) for v in extra_candidates] if extra_candidates is not None else []
-    for v in extra:
-        if not 0 <= v < graph.n:
-            raise VertexError(v, graph.n)
+    k, extra = query_args(graph.n, u, k, config, extra_candidates)
 
     d_max = config.effective_d_max
     radius = config.fallback_ball_radius
@@ -228,13 +234,14 @@ def plan_query(
         u=u, k=k, config=config, adaptive=adaptive, fallback_used=False,
         candidates=np.empty(0, dtype=np.int64), distances=np.empty(0, dtype=np.int64),
         bounds=np.empty(0, dtype=np.float64), beta=None, score_seed=None,
-        sketch_u=None,
+        sketch_u=None, walks=0,
     )
     walks: Optional[L1Walks] = None
     depth = max(d_max, radius)
     if use_l1:
         walks = l1_walks(graph, u, config=config, seed=derive_seed(seed, u, 101),
                          diagonal=diagonal)
+        plan = dataclasses.replace(plan, walks=config.r_alphabeta)
         if walks.distance_free_bound() < config.theta:
             return plan
         depth = max(radius, d_max // 2 - 1)
@@ -292,6 +299,7 @@ def plan_query(
         bounds=bounds,
         beta=beta,
         score_seed=score_seed,
+        walks=plan.walks + config.r_pair,
         sketch_u=SingleSourceEstimator(
             graph, u, config=config, seed=score_seed, diagonal=diagonal
         ).sketch_u,
@@ -308,13 +316,10 @@ def scan(plan: QueryPlan, k: Optional[int], scores: Scores) -> TopKResult:
     """
     config = plan.config
     stats = QueryStats(candidates=len(plan), fallback_used=plan.fallback_used)
+    stats.walks_simulated = plan.walks
     result = TopKResult(u=plan.u, k=plan.k, stats=stats)
     if not len(plan):
         return result
-    # Spent by the plan: the β walks and u's own walks.
-    stats.walks_simulated = config.r_pair
-    if plan.beta is not None:
-        stats.walks_simulated += config.r_alphabeta
 
     def estimate(vertices: np.ndarray, R: int) -> np.ndarray:
         stats.walks_simulated += R * int(vertices.size)

@@ -63,7 +63,7 @@ class DeadlineExceededError(ServeError):
 
 
 class ShardError(ReproError):
-    """A scatter-gather operation against a :class:`repro.shard.ShardPool`
+    """An operation against a :class:`repro.shard.ShardPool`
     failed (a worker replied with an error, or the pool is closed)."""
 
 

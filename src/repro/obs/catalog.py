@@ -74,7 +74,7 @@ SERVE_REQUEST_LATENCY = ("serve", "request_latency_seconds")  # histogram
 
 # Sharded backend (repro.shard).
 SHARD_QUERIES = ("shard", "queries_total")
-SHARD_FANOUT = ("shard", "fanout")  # histogram: workers scattered per query
+SHARD_FANOUT = ("shard", "fanout")  # histogram: workers sent each query
 SHARD_SCATTER_LATENCY = ("shard", "scatter_latency_seconds")  # histogram
 SHARD_EPOCH = ("shard", "epoch")  # gauge: pool's current published epoch
 SHARD_WORKERS_MIN_EPOCH = ("shard", "workers_min_epoch")  # gauge
@@ -160,9 +160,9 @@ CATALOG: Dict[Tuple[str, str], Tuple[str, str]] = {
     SERVE_BATCH_SIZE: ("histogram", "top-k requests grouped per micro-batch"),
     SERVE_SWAPS: ("counter", "zero-downtime engine snapshot swaps published"),
     SERVE_REQUEST_LATENCY: ("histogram", "queue + execution latency per served request"),
-    SHARD_QUERIES: ("counter", "scatter-gather top-k queries answered by the shard pool"),
-    SHARD_FANOUT: ("histogram", "shard workers scattered to per query"),
-    SHARD_SCATTER_LATENCY: ("histogram", "scatter + gather + replay-merge latency per query"),
+    SHARD_QUERIES: ("counter", "top-k queries the shard pool routed to a worker and answered"),
+    SHARD_FANOUT: ("histogram", "shard workers a query is sent to (1: queries are routed whole)"),
+    SHARD_SCATTER_LATENCY: ("histogram", "pin + route + worker answer + reply latency per query"),
     SHARD_EPOCH: ("gauge", "current published shard-pool epoch"),
     SHARD_WORKERS_MIN_EPOCH: ("gauge", "lowest epoch any live shard worker is serving"),
     SHARD_WORKER_CRASHES: ("counter", "shard worker processes that died unexpectedly"),

@@ -326,13 +326,13 @@ def set_serve_queue_depth(depth: int) -> None:
 # Sharded-backend hooks (repro.shard)
 # ---------------------------------------------------------------------------
 
-def record_shard_query(fanout: int, seconds: float) -> None:
-    """One scatter-gather query: workers fanned to + end-to-end latency."""
+def record_shard_query(seconds: float) -> None:
+    """One routed query: sent to one worker, with its end-to-end latency."""
     registry = get_registry()
     registry.counter(*catalog.SHARD_QUERIES).inc()
     registry.histogram(
         *catalog.SHARD_FANOUT, buckets=DEFAULT_SIZE_BUCKETS
-    ).observe(fanout)
+    ).observe(1)
     registry.histogram(*catalog.SHARD_SCATTER_LATENCY).observe(seconds)
 
 

@@ -74,7 +74,7 @@ class ServeConfig:
     workers: int = 4  # executor threads answering queries
     cache_capacity: Optional[int] = 1024  # per-snapshot LRU; None/0 = no cache
     default_timeout: Optional[float] = None  # per-request deadline (seconds)
-    shards: int = 0  # >0 = scatter-gather across that many worker processes
+    shards: int = 0  # >0 = route queries to that many worker processes
     flush_pipeline: bool = False  # background flusher absorbs staged edits off-path
     flush_max_staleness: float = 0.2  # seconds staged edits may wait (pipeline mode)
     flush_max_pending: int = 1024  # staged edits forcing a flush + write throttle

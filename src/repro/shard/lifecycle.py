@@ -77,7 +77,7 @@ class ShardHandle(EngineHandle):
 
     ``swap`` (and therefore every dynamic-engine flush) publishes the
     new engine to all workers *before* the snapshot pointer moves, so a
-    request admitted one instant after the swap already scatters to the
+    request admitted one instant after the swap is already routed to the
     new epoch while in-flight batches drain on the old one — the same
     zero-downtime story as single-process, extended across processes.
     """
@@ -147,9 +147,9 @@ class ShardHandle(EngineHandle):
 
         The base class republishes the local snapshot (validating the
         override names/values in the process); the pool then carries
-        the merged set inside every scatter message, so each worker
-        scores — and the coordinator replays — under identical settings
-        even while the change propagates (see :meth:`ShardPool.top_k`).
+        the merged set inside every routed query, so the worker answers
+        under the settings current when the query started, even while
+        the change propagates (see :meth:`ShardPool.top_k`).
         """
         snapshot = super().apply_engine_overrides(**overrides)
         self._pool.set_overrides(self.engine_overrides())

@@ -1,12 +1,14 @@
 """Scatter-gather merge: Algorithm 5's scan over the gathered estimates.
 
-The coordinator runs the same :func:`~repro.core.query.scan` as a single
-process, on the full plan, with a score source that looks estimates up
-in the shards' replies instead of computing them.  Since every estimate
-is the exact bit pattern the single process would have computed (see
-:mod:`repro.shard.worker`), the scan makes the same decisions in the
-same order, so the result items *and* the `QueryStats` counters match
-exactly (``elapsed_seconds`` aside — walltime is not a semantic output).
+No longer on the query path: :class:`~repro.shard.pool.ShardPool` routes
+whole queries to one worker.  The module stays only because the traced
+e2e launcher (``benchmarks/e2e/traced_server.py``) rebinds
+``repro.shard.pool.replay_merge`` by name; it goes in the next change to
+that benchmark.
+
+It runs the single-process :func:`~repro.core.query.scan` over a plan,
+looking every estimate up in per-shard θ-floor replies instead of
+computing it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""`ShardPool` — worker processes, epoch lifecycle, scatter-gather.
+"""`ShardPool` — worker processes, epoch lifecycle, query routing.
 
 One pool owns N spawned workers (spawn, not fork: the parent runs a
 threaded server) connected by duplex pipes.  Each *publish* exports the
@@ -10,11 +10,17 @@ dropped, segment unlinked) only once E+2 exists and every in-flight
 query pinned to E has drained.  That is the zero-downtime contract:
 swaps and flushes never invalidate a snapshot someone is reading.
 
+Queries are routed, not scattered: each ``top_k`` (and each ``pair``)
+goes whole to the live worker with the fewest requests in flight, the
+lowest ``shard_id`` on a tie, which answers it with the single-process
+engine on the pinned epoch (:mod:`repro.shard.worker`).  Independent
+queries thus run on as many cores as there are workers, as in the
+paper's all-vertices mode (§2.2).
+
 Failure policy: a dead worker fails its pending queries with
 :class:`ShardCrashError` immediately (the per-worker reader thread sees
-EOF on the pipe) and every later query fails fast — a clean error,
-never a hang, and never a silently *partial* top-k, which would break
-the bit-identity contract.
+EOF on the pipe), and once any worker is dead every query fails fast —
+it is not rerouted to the survivors.  A clean error, never a hang.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SimRankConfig
 from repro.core.engine import SimRankEngine
-from repro.core.query import TopKResult, plan_query
+from repro.core.query import TopKResult, query_args
 from repro.errors import (
     ShardCrashError,
     ShardError,
@@ -40,10 +46,9 @@ from repro.errors import (
 from repro.obs import instrument as obs
 from repro.shard.codec import delta_to_arrays, engine_to_arrays
 from repro.shard.memory import SharedArrayBundle
-from repro.shard.merge import replay_merge
-from repro.shard.plan import ShardPlan
+# Unused here; benchmarks/e2e/traced_server.py:193 still wraps it by name.
+from repro.shard.merge import replay_merge  # noqa: F401
 from repro.shard.worker import worker_main
-from repro.utils.rng import derive_seed
 from repro.utils.sync import make_lock
 
 
@@ -169,8 +174,11 @@ class ShardPool:
         self._epochs: Dict[int, Dict[str, Any]] = {}  # locked-by: _lock
         self._current_epoch: Optional[int] = None  # locked-by: _lock
         self._overrides: Dict[str, Any] = {}  # locked-by: _lock
+        # Per worker: routed requests whose answer the caller has not
+        # yet taken — the load the router balances.
+        self._route_lock = make_lock("ShardPool._route_lock")
+        self._in_flight = [0] * n_shards  # locked-by: _route_lock
         self.engine = engine  # the latest published (local) engine
-        self.partition = ShardPlan(n=engine.graph.n, n_shards=n_shards)
         self.workers = [_Worker(self, i) for i in range(n_shards)]
         try:
             self.publish(engine, epoch=0)
@@ -222,11 +230,10 @@ class ShardPool:
             raise
         with self._lock:
             self._epochs[epoch] = {
-                "bundle": bundle, "inflight": 0, "engine": engine, "seed": seed,
+                "bundle": bundle, "inflight": 0, "engine": engine,
             }
             self._current_epoch = epoch
             self.engine = engine
-            self.partition = ShardPlan(n=engine.graph.n, n_shards=self.n_shards)
         self._sweep_releases()
         self._record_epoch_gauges()
         return epoch
@@ -311,11 +318,10 @@ class ShardPool:
             # Patched epochs own no parent-side segment: workers hold
             # process-local arrays, there is nothing to unlink on release.
             self._epochs[epoch] = {
-                "bundle": None, "inflight": 0, "engine": engine, "seed": seed,
+                "bundle": None, "inflight": 0, "engine": engine,
             }
             self._current_epoch = epoch
             self.engine = engine
-            self.partition = ShardPlan(n=new_n, n_shards=self.n_shards)
         if obs.OBS.enabled:
             obs.record_shard_delta_publish()
         self._sweep_releases()
@@ -323,16 +329,16 @@ class ShardPool:
         return epoch
 
     def set_overrides(self, overrides: Dict[str, Any]) -> None:
-        """Replace the query-time config overrides every scatter carries.
+        """Replace the query-time config overrides every query carries.
 
-        Each query plans under the set current when it starts, and the
-        plan slices carry that config to the workers, so worker and
-        merge configs can never disagree mid-propagation — the
-        bit-identity contract of :mod:`repro.shard.merge` holds through
-        a live tune.  Validated by building the config view up front.
+        Each query takes the set current when it starts, and its message
+        carries that set to the worker, which answers on a
+        :meth:`~SimRankEngine.with_config` view — so a routed answer
+        equals the local engine's view under the same overrides, through
+        a live tune.  Validated by building the engine view up front.
         """
         merged = dict(overrides)
-        self.engine.config.with_(**merged)  # raises on a bad field/value
+        self.engine.with_config(**merged)  # raises on a bad field/value
         with self._lock:
             self._overrides = merged
 
@@ -406,13 +412,12 @@ class ShardPool:
         extra_candidates: Optional[Sequence[int]] = None,
         timings_out: Optional[Dict[str, Any]] = None,
     ) -> TopKResult:
-        """Plan once, scatter each shard its slice, merge by the same scan.
+        """Route the whole query to one worker, which runs ``engine.top_k``.
 
         Bit-identical to ``engine.top_k(u, k)`` on the pinned epoch's
-        engine (same integer seed), including the stats counters; see
-        :mod:`repro.shard.merge`.  ``timings_out`` receives the wall
-        time, the coordinator's planning CPU time and each shard's CPU
-        busy time.
+        engine (same integer seed), including the stats counters.
+        ``timings_out`` receives the wall time and, per worker, its CPU
+        busy time: the routed worker's, and 0.0 for the rest.
         """
         start = time.perf_counter()
         with self._lock:
@@ -420,79 +425,82 @@ class ShardPool:
         pinned, state = self._pin(epoch)
         try:
             engine = state["engine"]
-            plan_start = time.thread_time()
-            # Same derivation as engine.top_k, with the seed the workers hold.
-            plan = plan_query(
-                engine.graph,
-                engine.index,
-                int(u),
-                k=k,
-                config=engine.config.with_(**overrides) if overrides else engine.config,
-                seed=derive_seed(state["seed"], 11, int(u)),
-                diagonal=engine.diagonal,
-                use_l1=use_l1,
-                use_l2=use_l2,
-                adaptive=adaptive,
-                extra_candidates=extra_candidates,
-            )
-            plan_seconds = time.thread_time() - plan_start
-            if len(plan):
-                futures = [
-                    w.request({
-                        "op": "query",
-                        "epoch": pinned,
-                        "plan": plan.select(
-                            self.partition.owned_mask(plan.candidates, w.shard_id)
-                        ),
-                    })
-                    for w in self.workers
-                ]
-                results = self._gather(futures, "query")
-            else:
-                # Nothing to score: no shard is asked, and none is busy.
-                results = [{"scores": {}, "busy_seconds": 0.0} for _ in self.workers]
-            merged = replay_merge(plan, results)
+            config = engine.config.with_(**overrides) if overrides else engine.config
+            k, extra = query_args(engine.graph.n, int(u), k, config, extra_candidates)
+            worker, reply = self._call({
+                "op": "top_k",
+                "epoch": pinned,
+                "u": int(u),
+                "k": k,
+                "use_l1": use_l1,
+                "use_l2": use_l2,
+                "adaptive": adaptive,
+                "extra_candidates": extra,
+                "overrides": overrides or None,
+            }, "top_k")
         finally:
             self._unpin(pinned)
+        result: TopKResult = reply["result"]
         elapsed = time.perf_counter() - start
-        merged.stats.elapsed_seconds = elapsed
+        result.stats.elapsed_seconds = elapsed
         if timings_out is not None:
             timings_out["wall_seconds"] = elapsed
-            timings_out["plan_seconds"] = plan_seconds
             timings_out["busy_seconds"] = [
-                float(r["busy_seconds"]) for r in results
+                float(reply["busy_seconds"]) if w is worker else 0.0
+                for w in self.workers
             ]
         if obs.OBS.enabled:
-            obs.record_query(merged.stats)
-            obs.record_shard_query(fanout=len(self.workers), seconds=elapsed)
-        return merged
+            obs.record_query(result.stats)
+            obs.record_shard_query(elapsed)
+        return result
 
     def single_pair(self, u: int, v: int, epoch: Optional[int] = None) -> float:
-        """Route ``s(u, v)`` to the shard that owns ``u``."""
-        n = self.partition.n
-        for vertex in (u, v):
-            if not 0 <= int(vertex) < n:
-                raise VertexError(int(vertex), n)
-        if int(u) == int(v):
-            return 1.0
+        """Route ``s(u, v)`` to the least-loaded worker."""
         with self._lock:
             overrides = dict(self._overrides)
-        pinned, _ = self._pin(epoch)
+        pinned, state = self._pin(epoch)
         try:
-            worker = self.workers[self.partition.shard_of(int(u))]
-            future = worker.request(
+            n = state["engine"].graph.n
+            for vertex in (u, v):
+                if not 0 <= int(vertex) < n:
+                    raise VertexError(int(vertex), n)
+            if int(u) == int(v):
+                return 1.0
+            _, value = self._call(
                 {
                     "op": "pair",
                     "epoch": pinned,
                     "u": int(u),
                     "v": int(v),
                     "overrides": overrides or None,
-                }
+                },
+                "pair",
             )
-            (value,) = self._gather([future], "pair")
         finally:
             self._unpin(pinned)
         return float(value)
+
+    def _call(self, msg: Dict[str, Any], what: str) -> Tuple[_Worker, Any]:
+        """Send ``msg`` to the worker with the fewest requests in flight
+        (the lowest ``shard_id`` on a tie) and wait for its reply."""
+        with self._route_lock:
+            self._check_alive()
+            worker = min(self.workers, key=lambda w: self._in_flight[w.shard_id])
+            self._in_flight[worker.shard_id] += 1
+            future = worker.request(msg)
+        try:
+            (reply,) = self._gather([future], what)
+        finally:
+            with self._route_lock:
+                self._in_flight[worker.shard_id] -= 1
+        self._check_alive()
+        return worker, reply
+
+    def _check_alive(self) -> None:
+        """Fail fast once any worker is dead: queries are not rerouted."""
+        for w in self.workers:
+            if not w.alive:
+                raise ShardCrashError(f"shard {w.shard_id} worker is dead")
 
     # ------------------------------------------------------------------
     # Health / shutdown

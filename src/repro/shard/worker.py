@@ -1,21 +1,14 @@
-"""Shard worker: θ-floor scoring of a plan slice, and the process loop.
+"""Shard worker: whole top-k queries on a resident epoch, and the loop.
 
-**Why bit-identity survives sharding.**  The coordinator plans the
-query once (:func:`repro.core.query.plan_query`) and sends each worker
-the slice of the plan it owns.  An estimate is a function of
-``(vertex, R)`` alone — batch estimates walk each candidate v on the
-uniform block keyed by ``(batch_seed, R, v)``
-(:func:`~repro.utils.rng.keyed_uniforms`) — so the only state that
-couples candidates is the k-heap cutoff that decides who gets pruned,
-screened, or refined.  Each worker therefore runs the single-process
-:func:`~repro.core.query.scan` on its slice with ``k=None``, i.e. at
-the **θ-floor**, the loosest cutoff the real scan can ever have (since
-``cutoff() = max(θ, kth_best)``).  Because the real cutoff is always
-≥ θ and ``screen_slack ≤ 1``, the floor scan asks for a superset of
-the estimates the real scan asks for, and the worker returns all of
-them: the coordinator's scan (:func:`repro.shard.merge.replay_merge`)
-finds every value it needs, with the bits the single process would
-have computed.
+**Why a routed answer is bit-identical.**  The coordinator sends each
+query whole to one worker, which answers it with the single-process
+path, :meth:`SimRankEngine.top_k`, on the engine it rebuilt from the
+epoch's arrays (:mod:`repro.shard.codec`).  That engine carries the
+same integer seed, and ``top_k`` derives the query's streams from
+``(seed, u)`` alone, so every worker computes the bits the local engine
+would.  The pool's live config overrides ride in each message and are
+applied through :meth:`SimRankEngine.with_config`, a view, never a
+mutation of the resident engine.
 
 The worker process itself is a small message loop over a duplex pipe:
 ``load_epoch`` attaches a :class:`SharedArrayBundle` and rebuilds the
@@ -24,53 +17,30 @@ a row-level delta segment (edited edges + affected signature/γ rows —
 O(Δ) transport instead of a full re-export; the patched arrays are
 fresh process-local copies, so the delta segment closes immediately
 and the base epoch can still be released), ``release_epoch`` drops an
-epoch (the sanitizer screams if any view survives), ``query``/``pair``
-score, ``health`` reports loaded epochs, ``stop`` exits.  It keeps at
+epoch (the sanitizer screams if any view survives), ``top_k``/``pair``
+answer, ``health`` reports loaded epochs, ``stop`` exits.  It keeps at
 most the two newest epochs, so a swap never races an in-flight query.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Tuple
-
-import numpy as np
+from typing import Any, Dict, Optional
 
 from repro.core.engine import SimRankEngine
 from repro.core.montecarlo import single_pair_simrank
-from repro.core.query import QueryPlan, estimator_scores, scan
 from repro.errors import VertexError
 from repro.utils.rng import derive_seed
 
 
-__all__ = ["score_shard", "shard_pair", "worker_main"]
+__all__ = ["shard_pair", "worker_main"]
 
 
-def score_shard(engine: SimRankEngine, plan: QueryPlan) -> Dict[str, Any]:
-    """θ-floor scan of one shard's slice of a query plan.
-
-    Returns every estimate the scan computed as ``{"scores": {R:
-    (vertices, values)}, "busy_seconds": ...}``; by the superset
-    argument above, the coordinator's scan reads only from these.
-    """
-    # CPU time, not wall clock: workers on an oversubscribed host spend
-    # much of each request descheduled, and busy_seconds must mean "the
-    # compute this shard performed" regardless of core count.
-    start_time = time.process_time()
-    estimate = estimator_scores(engine.graph, plan, engine.diagonal)
-    computed: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-
-    def record(vertices: np.ndarray, R: int) -> np.ndarray:
-        values = estimate(vertices, R)
-        computed.setdefault(R, []).append((vertices, values))
-        return values
-
-    scan(plan, None, record)
-    scores = {
-        R: (np.concatenate([v for v, _ in parts]), np.concatenate([s for _, s in parts]))
-        for R, parts in computed.items()
-    }
-    return {"scores": scores, "busy_seconds": time.process_time() - start_time}
+def _with_overrides(
+    engine: SimRankEngine, overrides: Optional[Dict[str, Any]]
+) -> SimRankEngine:
+    """The resident engine under the coordinator's query-time overrides."""
+    return engine.with_config(**overrides) if overrides else engine
 
 
 def shard_pair(engine: SimRankEngine, u: int, v: int) -> float:
@@ -157,19 +127,27 @@ def worker_main(conn: Any, shard_id: int) -> None:
                     if bundle is not None:  # patched epochs own no segment
                         bundle.close()
                 reply(msg_id, None)
-            elif op == "query":
-                # The plan slice carries the query's config, live
-                # tunables included.
+            elif op == "top_k":
                 bundle, engine = epochs[msg["epoch"]]
-                reply(msg_id, score_shard(engine, msg["plan"]))
+                engine = _with_overrides(engine, msg.get("overrides"))
+                # CPU time, not wall clock: a worker on an oversubscribed
+                # host spends much of a request descheduled.
+                start = time.process_time()
+                result = engine.top_k(
+                    msg["u"],
+                    msg["k"],
+                    use_l1=msg["use_l1"],
+                    use_l2=msg["use_l2"],
+                    adaptive=msg["adaptive"],
+                    extra_candidates=msg["extra_candidates"],
+                )
+                reply(
+                    msg_id,
+                    {"result": result, "busy_seconds": time.process_time() - start},
+                )
             elif op == "pair":
                 bundle, engine = epochs[msg["epoch"]]
-                overrides = msg.get("overrides")
-                if overrides:
-                    # Query-time config carried by the coordinator (live
-                    # tunables); a zero-copy view, never a mutation of
-                    # the resident epoch engine.
-                    engine = engine.with_config(**overrides)
+                engine = _with_overrides(engine, msg.get("overrides"))
                 reply(msg_id, shard_pair(engine, msg["u"], msg["v"]))
             elif op == "health":
                 reply(

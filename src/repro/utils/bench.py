@@ -2,7 +2,7 @@
 
 The repo's benchmark gates persist machine-readable sidecars at the
 repo root — ``BENCH_kernels.json`` (kernel micro-benchmarks),
-``BENCH_shard.json`` (scatter-gather throughput), ``BENCH_tune.json``
+``BENCH_shard.json`` (query-routing throughput), ``BENCH_tune.json``
 (offline controller tuning), ``BENCH_lint.json`` (analyzer wall time,
 cold vs. warm cache), ``BENCH_dynamic.json`` (dynamic-write pipeline
 throughput).  Before this module each writer invented

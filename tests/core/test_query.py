@@ -87,6 +87,18 @@ class TestBasicBehaviour:
         assert result.stats.walks_simulated > 0
         assert result.stats.elapsed_seconds > 0
 
+    def test_emptied_plan_counts_its_walks(self, web_graph, test_config):
+        # An in-degree-0 vertex has B* = 0 < θ: planning ends on its α
+        # walks, and those walks are counted though nothing is scanned.
+        index = build_index(web_graph, test_config, seed=0)
+        u = int(np.flatnonzero(web_graph.in_degrees == 0)[0])
+        result = top_k_query(web_graph, index, u, config=test_config, seed=1)
+        assert result.stats.candidates == 0
+        assert result.stats.walks_simulated == test_config.r_alphabeta
+        # Without L1 no walk runs before the scan.
+        plan = plan_query(web_graph, index, u, config=test_config, seed=1, use_l1=False)
+        assert plan.walks == (test_config.r_pair if len(plan) else 0)
+
 
 class TestAgreementWithExact:
     def test_top1_usually_exact(self, social_graph, test_config):

@@ -150,6 +150,7 @@ def reference_plan(
         candidates=vertices, distances=distances, bounds=bounds, beta=beta,
         score_seed=score_seed,
         sketch_u=SingleSourceEstimator(graph, u, config=config, seed=score_seed).sketch_u,
+        walks=config.r_alphabeta + config.r_pair,
     )
 
 

@@ -2,7 +2,7 @@
 
 The PR-2 acceptance tests (snapshot-swap consistency, bounded-queue
 shedding) are re-run **unchanged** with the server answering through a
-2-shard scatter-gather pool — the module-level ``run_server`` fixture
+2-shard query-routing pool — the module-level ``run_server`` fixture
 overrides the conftest one to force ``shards=2``, and the inherited
 test classes do the rest.  Because the sharded backend is bit-identical
 to the single-process engine, even the deterministic local-mirror

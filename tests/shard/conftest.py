@@ -2,8 +2,8 @@
 
 The multiprocess pool is expensive to boot (spawned workers re-import
 the package), so the pool fixtures are module-scoped; the bit-identity
-tests that need nothing but :func:`score_shard` + :func:`replay_merge`
-run entirely in-process.
+tests of ``test_replay.py`` run the worker loop on threads, entirely
+in-process.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ tests are the ground truth that the in-process bit-identity results of
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import asdict
 
@@ -24,6 +25,26 @@ from repro.shard.pool import ShardPool
 def pool(shard_engine):
     with ShardPool(shard_engine, 2) as running:
         yield running
+
+
+def assert_same_answer(got, want):
+    assert got.items == want.items
+    got, want = asdict(got.stats), asdict(want.stats)
+    got.pop("elapsed_seconds")
+    want.pop("elapsed_seconds")
+    assert got == want
+
+
+def record_ops(pool, monkeypatch):
+    """``[(shard_id, op), ...]`` of every request the pool sends."""
+    sent = []
+    for worker in pool.workers:
+        def request(msg, _worker=worker, _real=worker.request):
+            sent.append((_worker.shard_id, msg["op"]))
+            return _real(msg)
+
+        monkeypatch.setattr(worker, "request", request)
+    return sent
 
 
 class TestScatterGather:
@@ -48,42 +69,41 @@ class TestScatterGather:
         timings = {}
         pool.top_k(3, timings_out=timings)
         assert timings["wall_seconds"] > 0
-        assert len(timings["busy_seconds"]) == 2
-        assert all(b >= 0 for b in timings["busy_seconds"])
+        busy = timings["busy_seconds"]
+        assert len(busy) == 2
+        # Only the worker the query was routed to was busy.
+        assert busy.count(0.0) == 1 and max(busy) > 0
 
     def test_empty_plan_is_not_scattered(self, pool, shard_engine, monkeypatch):
-        # At θ = 0.3 most vertices have B* < θ, so their plans are empty.
+        # Every query, an emptied plan included, is one top_k op to one
+        # worker.  At θ = 0.3 every sampled vertex has B* < θ.
+        sample = range(0, shard_engine.graph.n, 5)
         view = shard_engine.with_config(theta=0.3)
-        empty = [u for u in range(0, shard_engine.graph.n, 5)
-                 if view.top_k(u).stats.candidates == 0]
-        assert empty
-        ops = []
-        for worker in pool.workers:
-            def request(msg, _real=worker.request):
-                ops.append(msg["op"])
-                return _real(msg)
-
-            monkeypatch.setattr(worker, "request", request)
+        sent = record_ops(pool, monkeypatch)
+        for u in sample:
+            pool.top_k(u)
         pool.set_overrides({"theta": 0.3})
         try:
-            for u in empty:
+            for u in sample:
                 timings = {}
                 merged = pool.top_k(u, timings_out=timings)
                 reference = view.top_k(u)
                 assert merged.items == reference.items == []
-                got, want = asdict(merged.stats), asdict(reference.stats)
-                got.pop("elapsed_seconds")
-                want.pop("elapsed_seconds")
-                assert got == want
-                assert timings["busy_seconds"] == [0.0, 0.0]
+                assert_same_answer(merged, reference)
+                assert merged.stats.walks_simulated == shard_engine.config.r_alphabeta
+                assert timings["busy_seconds"].count(0.0) == 1
         finally:
             pool.set_overrides({})
-        assert "query" not in ops
+        assert [op for _, op in sent] == ["top_k"] * (2 * len(sample))
 
-    def test_pair_routed_to_owning_shard(self, pool, shard_engine):
+    def test_pair_routed_to_one_worker(self, pool, shard_engine, monkeypatch):
+        sent = record_ops(pool, monkeypatch)
         assert pool.single_pair(3, 3) == 1.0
+        assert sent == []
         for u, v in [(0, 1), (3, 77), (118, 2)]:
             assert pool.single_pair(u, v) == shard_engine.single_pair(u, v)
+        # An idle pool routes every request to the lowest shard_id.
+        assert sent == [(0, "pair")] * 3
 
     def test_out_of_range_vertex_fails_before_scatter(self, pool, monkeypatch):
         def scatter(msg):
@@ -96,6 +116,8 @@ class TestScatterGather:
         for bad in ([-1], [10_000]):
             with pytest.raises(VertexError):
                 pool.top_k(9, extra_candidates=bad)
+        with pytest.raises(ValueError):
+            pool.top_k(9, k=0)
         with pytest.raises(VertexError):
             pool.single_pair(0, 10_000)
 
@@ -110,7 +132,7 @@ class TestScatterGather:
             pool.top_k(0)
         assert registry.counter_value("shard", "queries_total") == 1
         fanout = registry.get("shard", "fanout")
-        assert fanout is not None and fanout.count == 1
+        assert fanout is not None and fanout.count == 1 and fanout.sum == 1
 
     def test_seed_policy(self, shard_engine):
         rng_engine = type(shard_engine)(
@@ -120,6 +142,51 @@ class TestScatterGather:
             ShardPool(rng_engine, 2)
         with pytest.raises(ShardError):
             ShardPool(shard_engine, 0)
+
+
+class TestRouting:
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    def test_bit_identical_at_every_shard_count(self, web_engine, n_shards):
+        # The sample mixes full and B*-emptied plans (in-degree-0 vertices
+        # have B* = 0), with and without a live override.
+        overrides = {"r_pair": 60, "screen_slack": 0.5}
+        view = web_engine.with_config(**overrides)
+        sample = range(0, web_engine.graph.n, 6)
+        emptied = [u for u in sample if view.top_k(u).stats.candidates == 0]
+        assert 0 < len(emptied) < len(sample)
+        with ShardPool(web_engine, n_shards) as pool:
+            for u in sample:
+                assert_same_answer(pool.top_k(u), web_engine.top_k(u))
+            pool.set_overrides(overrides)
+            for u in sample:
+                assert_same_answer(pool.top_k(u), view.top_k(u))
+
+    def test_concurrent_queries_land_on_different_workers(
+        self, pool, shard_engine, monkeypatch
+    ):
+        sent = record_ops(pool, monkeypatch)
+        # Neither query takes its answer until both are routed, so each
+        # sees the other in flight.
+        both_routed = threading.Barrier(2, timeout=30)
+        real_gather = pool._gather
+
+        def gather(futures, what):
+            both_routed.wait()
+            return real_gather(futures, what)
+
+        monkeypatch.setattr(pool, "_gather", gather)
+        answers = {}
+        threads = [
+            threading.Thread(target=lambda u=u: answers.setdefault(u, pool.top_k(u)))
+            for u in (5, 9)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert sorted(sent) == [(0, "top_k"), (1, "top_k")]
+        for u in (5, 9):
+            assert_same_answer(answers[u], shard_engine.top_k(u))
 
 
 class TestEpochProtocol:

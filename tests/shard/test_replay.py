@@ -1,23 +1,29 @@
-"""Bit-identity of the scatter-gather decomposition, fully in-process.
+"""Bit-identity of the routed query path, fully in-process.
 
-The acceptance property of the shard subsystem: for ANY shard count,
-one ``plan_query``, ``score_shard`` on each shard's slice of the plan,
-then ``replay_merge`` produces the same :class:`TopKResult` — items AND
-QueryStats — as the single-process engine, because every estimate is
-derived from the same seeds and the coordinator runs the engine's own
-scan over the gathered estimates (see ``repro/shard/merge.py``).
+A sharded query goes whole to one worker loop
+(:func:`repro.shard.worker.worker_main`), which answers it with
+``engine.top_k`` on the engine it rebuilt from the epoch's exported
+arrays.  Here the loops run on threads over pipes, so the message
+fields, the shared-memory round trip and the worker's own ``top_k`` are
+checked without spawning processes: for any number of workers, and
+whichever of them a query lands on, the answer — items AND QueryStats —
+equals the single-process engine's.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import asdict
+from multiprocessing import Pipe
 
 import pytest
 
-from repro.core.query import plan_query
+from repro.core.query import TopKResult, plan_query
+from repro.shard.codec import engine_to_arrays
+from repro.shard.memory import SharedArrayBundle
 from repro.shard.merge import replay_merge
-from repro.shard.plan import ShardPlan
-from repro.shard.worker import score_shard, shard_pair
+from repro.shard.worker import shard_pair, worker_main
 from repro.utils.rng import derive_seed
 
 
@@ -28,14 +34,71 @@ def engine_plan(engine, u, k=None, **kwargs):
     )
 
 
-def scatter_gather(engine, u, n_shards, k=None, **kwargs):
-    plan = engine_plan(engine, u, k=k, **kwargs)
-    partition = ShardPlan(n=engine.graph.n, n_shards=n_shards)
-    results = [
-        score_shard(engine, plan.select(partition.owned_mask(plan.candidates, shard_id)))
-        for shard_id in range(n_shards)
-    ]
-    return replay_merge(plan, results)
+class ThreadWorkers:
+    """``n`` worker loops on threads, all attached to one exported epoch."""
+
+    def __init__(self, engine, n):
+        arrays, meta = engine_to_arrays(engine, engine.seed)
+        self.bundle = SharedArrayBundle.export(arrays)
+        self.conns, self.threads = [], []
+        self.ids = itertools.count(1)
+        self.turn = itertools.count()
+        for shard_id in range(n):
+            parent, child = Pipe()
+            thread = threading.Thread(
+                target=worker_main, args=(child, shard_id), daemon=True
+            )
+            thread.start()
+            self.conns.append(parent)
+            self.threads.append(thread)
+        for conn in self.conns:
+            self.call(conn, {"op": "load_epoch", "epoch": 0,
+                             "manifest": self.bundle.manifest(), "meta": meta})
+
+    def call(self, conn, msg):
+        msg = dict(msg, id=next(self.ids))
+        conn.send(msg)
+        reply = conn.recv()
+        assert reply["id"] == msg["id"]
+        assert reply["ok"], reply.get("error")
+        return reply["result"]
+
+    def top_k(self, u, k=None, use_l1=True, use_l2=True, adaptive=True,
+              extra_candidates=None):
+        """One ``top_k`` op, sent to the workers in turn."""
+        conn = self.conns[next(self.turn) % len(self.conns)]
+        return self.call(conn, {
+            "op": "top_k", "epoch": 0, "u": u, "k": k,
+            "use_l1": use_l1, "use_l2": use_l2, "adaptive": adaptive,
+            "extra_candidates": extra_candidates, "overrides": None,
+        })
+
+    def close(self):
+        for conn in self.conns:
+            self.call(conn, {"op": "release_epoch", "epoch": 0})
+            self.call(conn, {"op": "stop"})
+        for thread in self.threads:
+            thread.join(timeout=5)
+        self.bundle.close()
+
+
+@pytest.fixture(scope="module")
+def thread_workers():
+    """``thread_workers(engine, n)``: one worker set per (engine, n)."""
+    started = {}
+
+    def get(engine, n):
+        if (id(engine), n) not in started:
+            started[id(engine), n] = ThreadWorkers(engine, n)
+        return started[id(engine), n]
+
+    yield get
+    for workers in started.values():
+        workers.close()
+
+
+def routed(workers, u, **kwargs):
+    return workers.top_k(u, **kwargs)["result"]
 
 
 def assert_identical(merged, reference):
@@ -49,47 +112,44 @@ def assert_identical(merged, reference):
 
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 class TestBitIdentity:
-    def test_social_graph(self, shard_engine, n_shards):
+    def test_social_graph(self, shard_engine, thread_workers, n_shards):
+        workers = thread_workers(shard_engine, n_shards)
         for u in range(0, shard_engine.graph.n, 7):
-            assert_identical(
-                scatter_gather(shard_engine, u, n_shards), shard_engine.top_k(u)
-            )
+            assert_identical(routed(workers, u), shard_engine.top_k(u))
 
-    def test_web_graph(self, web_engine, n_shards):
+    def test_web_graph(self, web_engine, thread_workers, n_shards):
+        workers = thread_workers(web_engine, n_shards)
         for u in range(0, web_engine.graph.n, 17):
-            assert_identical(
-                scatter_gather(web_engine, u, n_shards), web_engine.top_k(u)
-            )
+            assert_identical(routed(workers, u), web_engine.top_k(u))
 
-    def test_explicit_k(self, shard_engine, n_shards):
+    def test_explicit_k(self, shard_engine, thread_workers, n_shards):
+        workers = thread_workers(shard_engine, n_shards)
         for k in (1, 3, 11):
-            assert_identical(
-                scatter_gather(shard_engine, 5, n_shards, k=k),
-                shard_engine.top_k(5, k=k),
-            )
+            assert_identical(routed(workers, 5, k=k), shard_engine.top_k(5, k=k))
 
-    def test_non_adaptive(self, shard_engine, n_shards):
+    def test_non_adaptive(self, shard_engine, thread_workers, n_shards):
+        workers = thread_workers(shard_engine, n_shards)
         assert_identical(
-            scatter_gather(shard_engine, 9, n_shards, adaptive=False),
-            shard_engine.top_k(9, adaptive=False),
+            routed(workers, 9, adaptive=False), shard_engine.top_k(9, adaptive=False)
         )
 
-    def test_without_l1(self, shard_engine, n_shards):
+    def test_without_l1(self, shard_engine, thread_workers, n_shards):
+        workers = thread_workers(shard_engine, n_shards)
         assert_identical(
-            scatter_gather(shard_engine, 9, n_shards, use_l1=False),
-            shard_engine.top_k(9, use_l1=False),
+            routed(workers, 9, use_l1=False), shard_engine.top_k(9, use_l1=False)
         )
 
-    def test_without_l2(self, shard_engine, n_shards):
+    def test_without_l2(self, shard_engine, thread_workers, n_shards):
+        workers = thread_workers(shard_engine, n_shards)
         assert_identical(
-            scatter_gather(shard_engine, 9, n_shards, use_l2=False),
-            shard_engine.top_k(9, use_l2=False),
+            routed(workers, 9, use_l2=False), shard_engine.top_k(9, use_l2=False)
         )
 
-    def test_extra_candidates(self, shard_engine, n_shards):
+    def test_extra_candidates(self, shard_engine, thread_workers, n_shards):
+        workers = thread_workers(shard_engine, n_shards)
         extra = [1, 2, 3, 40, 41]
         assert_identical(
-            scatter_gather(shard_engine, 9, n_shards, extra_candidates=extra),
+            routed(workers, 9, extra_candidates=extra),
             shard_engine.top_k(9, extra_candidates=extra),
         )
 
@@ -101,9 +161,10 @@ class TestShardPair:
 
 
 class TestWorkerContract:
-    def test_busy_seconds_reported(self, shard_engine):
-        result = score_shard(shard_engine, engine_plan(shard_engine, 5))
-        assert result["busy_seconds"] >= 0.0
+    def test_busy_seconds_reported(self, shard_engine, thread_workers):
+        reply = thread_workers(shard_engine, 1).top_k(5)
+        assert isinstance(reply["result"], TopKResult)
+        assert reply["busy_seconds"] >= 0.0
 
     def test_merge_requires_results(self, shard_engine):
         from repro.errors import ShardError

@@ -41,9 +41,9 @@ def test_missing_required_field_gets_error_reply():
     parent, child = Pipe()
     thread = _worker_thread(child)
     try:
-        # "query" without "epoch": the handler reads msg["epoch"]
+        # "top_k" without "epoch": the handler reads msg["epoch"]
         # unconditionally (what R11 calls a required field).
-        parent.send({"id": 1, "op": "query", "u": 0})
+        parent.send({"id": 1, "op": "top_k", "u": 0})
         reply = parent.recv()
         assert reply["ok"] is False
         assert "epoch" in reply["error"]

@@ -212,14 +212,13 @@ class TestKernelComparison:
         positions = np.random.default_rng(7).integers(
             0, graph.n, size=B * config.r_pair
         ).astype(np.int64)
+        segments = np.repeat(np.arange(B, dtype=np.int64), config.r_pair)
 
         def array_collisions() -> np.ndarray:
             total = np.zeros(B)
             for t in range(config.T):
                 vertices, counts = flat_u.row(t)
-                total += segment_collisions(
-                    positions, vertices, counts, diagonal, config.r_pair, B
-                )
+                total += segment_collisions(positions, segments, vertices, counts, diagonal, B)
             return total
 
         def dict_collisions() -> list:
@@ -238,7 +237,8 @@ class TestKernelComparison:
         }
         np.testing.assert_allclose(array_collisions(), dict_collisions(), atol=1e-12)
 
-        # 3. Fused batch estimate vs the oracle's per-candidate loop.
+        # 3. Fused batch estimate (live walks only) vs the oracle's
+        # per-candidate loop over full-width keyed bundles.
         array_estimator = SingleSourceEstimator(graph, u, config=config, seed=0)
         oracle_scores = reference_scores(graph, u, config, seed=0)
         timings["batch_estimate"] = {
@@ -254,7 +254,8 @@ class TestKernelComparison:
             atol=1e-12,
         )
 
-        # 4. Batched Algorithm 4 vs the oracle's per-vertex signature walks.
+        # 4. Batched Algorithm 4 (live walks scattered into the bundle) vs
+        # the oracle's per-vertex full-width signature walks.
         timings["signature_build"] = {
             "array": _timed(
                 lambda: build_signatures(graph, config, seed=0, vertices=sig_vertices),

@@ -60,10 +60,9 @@ __all__ = ["ContractDriftRule", "REQUIRED_CONTRACTS"]
 REQUIRED_CONTRACTS: Dict[str, Tuple[str, ...]] = {
     "core/walks.py": (
         "step",
-        "step_given",
+        "step_live",
         "walk_matrix",
         "walk_matrix_seeded",
-        "walk_matrix_multi",
         "segment_collisions",
         "segment_self_collisions",
     ),

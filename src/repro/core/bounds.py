@@ -35,8 +35,8 @@ runs any BFS.
 Tight when the query vertex has *high* degree (the walk distribution
 flattens, so its 2-norm collapses).  γ is precomputed for every vertex
 during preprocessing; α/β are computed per query (§7.1).  Vertex u's γ
-walks run on the uniform block :func:`~repro.utils.rng.keyed_uniforms`
-keys by ``(seed, 31, u)``, so a row is the same whether it is built
+walks run on the stream :func:`~repro.utils.rng.stream_keys` keys by
+``(seed, 31, u)``, so a row is the same whether it is built
 alone, in a subset repair, or in the full table.
 
 A note on soundness: the ``d' ≥ d - t`` restriction uses the triangle
@@ -60,7 +60,7 @@ from repro.core.config import SimRankConfig
 from repro.core.linear import DiagonalLike, resolve_diagonal
 from repro.core.walks import FlatSketch, WalkEngine, segment_self_collisions
 from repro.utils.contracts import contract
-from repro.utils.rng import SeedLike, ensure_rng, keyed_uniforms, root_seed
+from repro.utils.rng import SeedLike, ensure_rng, root_seed, stream_keys
 
 
 __all__ = [
@@ -324,9 +324,11 @@ def compute_gamma_rows(
 ) -> np.ndarray:
     """Algorithm 3 rows for an arbitrary vertex subset, shape (len, T).
 
-    Vertex u's walks draw the uniform block
-    ``keyed_uniforms(seed, 31, [u], …)``, consumed positionally via
-    :meth:`~repro.core.walks.WalkEngine.step_given`, so the row computed
+    Vertex u's walks draw from the keyed stream
+    ``stream_keys(seed, 31, [u])``, walk r's step t → t+1 on value
+    ``t·R + r`` (:meth:`~repro.core.walks.WalkEngine.live_walks`, which
+    steps only live walks; a row stays 0 once u's walks have all
+    ended), so the row computed
     for ``u`` is a pure function of ``(graph, config, seed, u)`` — a
     subset recomputation (the dynamic engine's flush repair) is
     bit-identical to the corresponding rows of a full-table build.
@@ -351,15 +353,10 @@ def compute_gamma_rows(
     block_size = max(1, 16384 // max(1, R))
     for start in range(0, len(vertex_array), block_size):
         block = vertex_array[start : start + block_size]
-        width = len(block)
-        positions = np.repeat(block, R)
-        segments = np.repeat(np.arange(width, dtype=np.int64), R)
-        uniforms = keyed_uniforms(base_seed, 31, block, T - 1, R)
-        for t in range(T):
-            sums = segment_self_collisions(positions, segments, d_vec, R, width)
-            rows[start : start + width, t] = np.sqrt(sums)
-            if t + 1 < T:
-                positions = engine.step_given(positions, uniforms[t])
+        streams = stream_keys(base_seed, 31, block)
+        for t, positions, segments, _ in engine.live_walks(block, R, T, streams):
+            sums = segment_self_collisions(positions, segments, d_vec, R, len(block))
+            rows[start : start + len(block), t] = np.sqrt(sums)
     return rows
 
 

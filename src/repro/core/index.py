@@ -21,7 +21,7 @@ space is O(nP) plus the O(nT) γ table, the paper's "small space" claim.
 H's arrays are read-only; a changed index is a new one
 (:meth:`CandidateIndex.with_rows`), never a patched one.  Algorithm 4
 runs as one fused walk matrix per block of vertices, vertex u's walks on
-the uniform block :func:`~repro.utils.rng.keyed_uniforms` keys by
+the stream :func:`~repro.utils.rng.stream_keys` keys by
 ``(seed, 29, u)``; the tests keep a per-vertex builder as its
 equivalence oracle.
 """
@@ -40,9 +40,9 @@ from repro.errors import GraphFormatError, SerializationError, VertexError
 from repro.graph.csr import CSRGraph
 from repro.core.bounds import GammaTable, compute_gamma_all
 from repro.core.config import SimRankConfig
-from repro.core.walks import WalkEngine
+from repro.core.walks import DEAD, WalkEngine
 from repro.obs import instrument as obs
-from repro.utils.rng import SeedLike, derive_seed, keyed_uniforms, root_seed
+from repro.utils.rng import SeedLike, derive_seed, root_seed, stream_keys
 
 
 __all__ = [
@@ -387,14 +387,15 @@ def build_signatures(
     update only the vertices whose reverse-walk ball touched the change
     need new signatures.
 
-    Vertex u's P·(1+Q) walks draw the uniform block
-    ``keyed_uniforms(seed, 29, [u], …)``, so a vertex's signature is a
+    Vertex u's P·(1+Q) walks draw from the keyed stream
+    ``stream_keys(seed, 29, [u])``, so a vertex's signature is a
     deterministic function of ``(seed, u)`` and independent of which
     other vertices are (re)built alongside it — incremental rebuilds
     reproduce exactly what a full build produces.  Whole blocks of
-    vertices draw their uniforms in one call and run as one fused walk
-    matrix; the uniforms are consumed positionally, so each vertex's
-    walks match its own seeded bundle (see ``docs/performance.md``).
+    vertices step their live walks together and scatter each step's
+    positions into a DEAD-filled walk matrix; a walk's draws are fixed
+    by (vertex, step, lane), so each vertex's walks match its own
+    seeded bundle (see ``docs/performance.md``).
     """
     targets = [int(u) for u in (range(graph.n) if vertices is None else vertices)]
     base_seed = root_seed(seed)
@@ -404,14 +405,12 @@ def build_signatures(
     signatures: List[List[int]] = []
     block_size = max(1, 16384 // width)
     for lo in range(0, len(targets), block_size):
-        block = targets[lo : lo + block_size]
-        starts = np.repeat(np.asarray(block, dtype=np.int64), width)
-        bundle = np.empty((T, starts.size), dtype=np.int64)
-        bundle[0] = starts
-        uniforms = keyed_uniforms(base_seed, 29, block, T - 1, width)
-        for t in range(1, T):
-            bundle[t] = engine.step_given(bundle[t - 1], uniforms[t - 1])
-        signatures.extend(_signatures_from_block(bundle, block, config))
+        block = np.asarray(targets[lo : lo + block_size], dtype=np.int64)
+        bundle = np.full((T, block.size * width), DEAD, dtype=np.int64)
+        streams = stream_keys(base_seed, 29, block)
+        for t, positions, segments, lanes in engine.live_walks(block, width, T, streams):
+            bundle[t, segments * width + lanes] = positions
+        signatures.extend(_signatures_from_block(bundle, block.tolist(), config))
     return signatures
 
 

@@ -11,8 +11,12 @@ The cost is O(T R) per pair — independent of n and m, which is the crux
 of the paper's scalability argument.  Pairwise estimates sum the series
 with :meth:`~repro.core.walks.FlatSketch.series`; batches of candidates
 use the fused kernel of :meth:`SingleSourceEstimator.estimate_batch`,
-which walks candidate v's R-walk bundle on the uniform block
-:func:`~repro.utils.rng.keyed_uniforms` keys by ``(seed, R, v)``.
+which walks candidate v's R-walk bundle on the stream
+:func:`~repro.utils.rng.stream_keys` keys by ``(seed, R, v)``.  Only
+live walks are stepped, drawn or scanned: a walk that reaches a vertex
+without in-links ends and costs nothing after that step, so a batch
+costs O(T R) per candidate at most and less on graphs where walks end
+early.
 
 Concentration: Proposition 3 / Corollary 1 give
 ``R = 2 (1-c)^2 log(4 n T / δ) / ε^2`` for ε-accuracy with probability
@@ -33,7 +37,7 @@ from repro.core.config import SimRankConfig
 from repro.core.linear import resolve_diagonal, DiagonalLike
 from repro.core.walks import FlatSketch, WalkEngine, segment_collisions
 from repro.obs import instrument as obs
-from repro.utils.rng import SeedLike, derive_seed, ensure_rng, keyed_uniforms, root_seed
+from repro.utils.rng import SeedLike, derive_seed, ensure_rng, root_seed, stream_keys
 
 
 __all__ = [
@@ -116,12 +120,12 @@ class SingleSourceEstimator:
     - :meth:`estimate` — one candidate at a time, bundles drawn from the
       estimator's shared stream (the original Algorithm 1 draw order);
     - :meth:`estimate_batch` — all candidates at once.  Candidate v's
-      uniforms are the keyed block ``keyed_uniforms(root, R, [v], …)``
+      walks draw from the keyed stream ``stream_keys(root, R, [v])``
       of the estimator's root seed, so its score is a deterministic
       function of ``(seed, v, R)`` and therefore independent of batch
-      composition and order.  The whole batch draws its blocks in one
-      call, steps as one fused ``(T, B·R)`` matrix and reduces against
-      the u-sketch with segment sums (see ``docs/performance.md``).
+      composition and order.  The whole batch steps its live walks
+      together and reduces them against the u-sketch with segment sums
+      (see ``docs/performance.md``).
     """
 
     def __init__(
@@ -184,7 +188,7 @@ class SingleSourceEstimator:
         """Scores for all ``candidates`` at once, aligned with the input.
 
         Every candidate v gets its own R-walk bundle, driven by the
-        uniform block keyed by ``(seed, R, v)``; self-candidates score
+        stream keyed by ``(seed, R, v)``; self-candidates score
         1.0 without simulation.  The bundles run fused (one position row
         per step for the whole batch) — the vectorised pass behind
         Algorithm 5's screen and refine phases.
@@ -215,36 +219,36 @@ class SingleSourceEstimator:
     def _batch_array(
         self, others: np.ndarray, samples: int
     ) -> Tuple[np.ndarray, int]:
-        """Fused kernel: one (B·R)-wide position row stepped T-1 times.
+        """Fused kernel: the batch's live walks, reduced step by step.
 
-        Per step: one :func:`segment_collisions` against the u-sketch's
-        sorted row, then one :meth:`WalkEngine.step_given` with the
-        candidates' side-by-side uniform blocks (one
-        :func:`keyed_uniforms` call, salt R, key v).  Because uniforms
-        are consumed positionally, the fused trajectories are
-        bit-identical to :meth:`WalkEngine.walk_matrix_seeded` of each
-        candidate alone.
+        The candidates' bundles run through one
+        :meth:`WalkEngine.live_walks` loop on their keyed streams (salt
+        R, key v); per step, one :func:`segment_collisions` of the live
+        walks against the u-sketch's sorted row.  The loop ends when no
+        candidate walk or no u-walk is alive, since every later term is
+        zero.  A walk's draws are fixed by (v, step, lane), so each
+        candidate's trajectories are bit-identical to
+        :meth:`WalkEngine.walk_matrix_seeded` of that candidate alone.
         """
         T, c = self.config.T, self.config.c
         B = int(others.size)
         sketch_u = self.sketch_u
-        uniforms = keyed_uniforms(self._batch_seed, samples, others, T - 1, samples)
-        positions = np.repeat(others, samples)
+        streams = stream_keys(self._batch_seed, samples, others)
         totals = np.zeros(B)
         meetings = 0
         weight = 1.0
         norm = samples * sketch_u.R
-        for t in range(T):
+        for t, positions, segments, _ in self.engine.live_walks(others, samples, T, streams):
             row_vertices, row_counts = sketch_u.row(t)
+            if row_vertices.size == 0:
+                break
             segment_mass = segment_collisions(
-                positions, row_vertices, row_counts, self.diagonal, samples, B
+                positions, segments, row_vertices, row_counts, self.diagonal, B
             )
             terms = segment_mass * (weight / norm)
             totals += terms
             meetings += int(np.count_nonzero(terms > 0.0))
             weight *= c
-            if t + 1 < T:
-                positions = self.engine.step_given(positions, uniforms[t])
         return totals, meetings
 
     def estimate_many(

@@ -6,12 +6,14 @@ may be ``None`` (fresh entropy), an integer, or an existing
 Monte-Carlo code deterministic under test while staying convenient for
 interactive use.
 
-Per-vertex walk bundles draw from :func:`keyed_uniforms`, a
-counter-based source (SplitMix64, in the spirit of Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11): the uniforms of
-one key are a pure function of ``(seed, salt, key)``, so a whole batch of
-per-vertex streams is a few numpy passes instead of one seeded
-generator per vertex.
+Per-vertex walk bundles draw from a counter-based source (SplitMix64,
+in the spirit of Salmon et al., "Parallel Random Numbers: As Easy as 1,
+2, 3", SC'11): :func:`stream_keys` gives each key its stream and
+:func:`stream_uniforms` reads value i of any stream, so the uniforms of
+one key are a pure function of ``(seed, salt, key)`` and a whole batch
+of per-vertex streams is a few numpy passes instead of one seeded
+generator per vertex.  :func:`keyed_uniforms` is the full
+``(rows, keys·width)`` block of the two.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ def derive_seed(seed: SeedLike, *salt: int) -> Optional[int]:
 #: than numpy scalars): the increment G (the 64-bit golden ratio) and
 #: the finalizer's two (right shift, multiplier) rounds and last shift.
 _GOLDEN = np.array(0x9E3779B97F4A7C15, dtype=np.uint64)
+_ONE = np.array(1, dtype=np.uint64)
 _MASK64 = (1 << 64) - 1
 _MIX_ROUNDS = (
     (np.array(30, dtype=np.uint64), np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)),
@@ -109,7 +112,7 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 
 def root_seed(seed: SeedLike) -> int:
-    """The int root of a family of :func:`keyed_uniforms` streams.
+    """The int root of a family of :func:`stream_keys` streams.
 
     An int is its own root; a generator yields one draw, as
     :func:`derive_seed` takes it.  ``None`` draws a fresh root, so a
@@ -123,6 +126,39 @@ def root_seed(seed: SeedLike) -> int:
     return int(seed)
 
 
+def stream_keys(seed: int, salt: int, keys: "Sequence[int] | np.ndarray") -> np.ndarray:
+    """The uint64 stream key of every key: ``mix(mix(seed + salt·G) ^ mix(key + G))``.
+
+    Key b's stream is a pure function of ``(seed, salt, keys[b])``;
+    :func:`stream_uniforms` reads values off it.
+    """
+    keys_u64 = np.asarray(keys).astype(np.uint64).reshape(-1)
+    root = np.array([(seed + salt * int(_GOLDEN)) & _MASK64], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        streams = _mix(keys_u64 + _GOLDEN)
+        streams ^= _mix(root)
+        return _mix(streams)
+
+
+def stream_uniforms(streams: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Value ``counters[i]`` of stream ``streams[i]``, a float64 in [0, 1).
+
+    Value i of a stream with key ``key`` is ``mix(key + (i+1)·G) >> 11``
+    scaled by 2^-53 (modulo 2^64).  ``streams`` (uint64, from
+    :func:`stream_keys`) and ``counters`` (non-negative ints) broadcast,
+    so a walk loop can draw one value for each walk it still carries.
+    """
+    with np.errstate(over="ignore"):
+        values = np.asarray(counters).astype(np.uint64)
+        values += _ONE
+        values *= _GOLDEN
+        values = _mix(values + streams)
+    values >>= _FRACTION_SHIFT
+    uniforms = values.view(np.int64).astype(np.float64)
+    uniforms *= 2.0**-53
+    return uniforms
+
+
 def keyed_uniforms(
     seed: int, salt: int, keys: "Sequence[int] | np.ndarray", rows: int, width: int
 ) -> np.ndarray:
@@ -133,18 +169,11 @@ def keyed_uniforms(
     Key b's stream key is ``mix(mix(seed + salt·G) ^ mix(keys[b] + G))``;
     its i-th value (row-major over the ``(rows, width)`` block) is
     ``mix(key + (i+1)·G) >> 11`` scaled by 2^-53, with ``G`` SplitMix64's
-    increment and ``mix`` its finalizer, all modulo 2^64.
+    increment and ``mix`` its finalizer, all modulo 2^64.  It is
+    :func:`stream_uniforms` over :func:`stream_keys` at counters
+    ``t·width + r``.
     """
-    keys_u64 = np.asarray(keys).astype(np.uint64).reshape(-1)
-    root = np.array([(seed + salt * int(_GOLDEN)) & _MASK64], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        streams = _mix(keys_u64 + _GOLDEN)
-        streams ^= _mix(root)
-        _mix(streams)
-        counters = np.arange(1, rows * width + 1, dtype=np.uint64)
-        counters *= _GOLDEN
-        values = _mix(counters.reshape(rows, 1, width) + streams.reshape(1, -1, 1))
-    values >>= _FRACTION_SHIFT
-    uniforms = values.view(np.int64).astype(np.float64)
-    uniforms *= 2.0**-53
-    return uniforms.reshape(rows, keys_u64.size * width)
+    streams = stream_keys(seed, salt, keys)
+    counters = np.arange(rows * width, dtype=np.uint64).reshape(rows, 1, width)
+    values = stream_uniforms(streams.reshape(1, -1, 1), counters)
+    return values.reshape(rows, streams.size * width)

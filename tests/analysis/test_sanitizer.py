@@ -206,50 +206,54 @@ def test_replay_outside_strict_scope_is_legal(sanitized):
 
 
 def test_estimate_batch_keyed_blocks_match_oracle(sanitized, monkeypatch):
-    """The fused kernel and the one-bundle-at-a-time oracle walk every
-    candidate on the same keyed uniform block, and agree on the scores."""
-    import repro.core.montecarlo as montecarlo
+    """Every uniform the fused kernel draws is the oracle's keyed block
+    entry at the same (key, step, lane), and the two agree on the scores."""
     import repro.core.walks as walks
+    import tests.kernel_oracle as oracle
     from repro.core.config import SimRankConfig
+    from repro.core.montecarlo import SingleSourceEstimator
     from repro.graph.generators import cycle_graph
-    from repro.utils.rng import keyed_uniforms
-    from tests.kernel_oracle import reference_scores
-
-    blocks = {}
-
-    def recording(kernel):
-        def draw(seed, salt, keys, rows, width):
-            values = keyed_uniforms(seed, salt, keys, rows, width)
-            for b, key in enumerate(np.asarray(keys).tolist()):
-                blocks[kernel][(seed, salt, key)] = values[:, b * width : (b + 1) * width]
-            return values
-
-        return draw
+    from repro.utils.rng import keyed_uniforms, stream_keys, stream_uniforms
 
     graph = cycle_graph(8)
     candidates = [1, 2, 5]
     seed, samples = 99, 12
     config = SimRankConfig(T=4, r_pair=samples)
-    kernels = {
-        "array": (montecarlo, lambda: montecarlo.SingleSourceEstimator(
-            graph, 0, config, seed=seed).estimate_batch(candidates)),
-        "reference": (walks, lambda: reference_scores(graph, 0, config, seed)(
-            candidates, samples)),
-    }
 
-    scores = {}
-    for kernel, (module, run) in kernels.items():
-        blocks[kernel] = {}
-        with monkeypatch.context() as patch:
-            patch.setattr(module, "keyed_uniforms", recording(kernel))
-            scores[kernel] = run()
+    drawn = []  # (stream, counter, value) of every fused draw
 
-    expected_keys = {(seed, samples, v) for v in candidates}
-    assert set(blocks["array"]) == set(blocks["reference"]) == expected_keys
-    for key in expected_keys:
-        assert blocks["array"][key].shape == (config.T - 1, samples)
-        np.testing.assert_array_equal(blocks["array"][key], blocks["reference"][key])
-    np.testing.assert_allclose(scores["array"], scores["reference"], rtol=1e-12)
+    def record_draws(streams, counters):
+        values = stream_uniforms(streams, counters)
+        drawn.extend(zip(streams.tolist(), counters.tolist(), values.tolist()))
+        return values
+
+    blocks = {}
+
+    def record_blocks(seed_, salt, keys, rows, width):
+        values = keyed_uniforms(seed_, salt, keys, rows, width)
+        for b, key in enumerate(np.asarray(keys).tolist()):
+            blocks[(seed_, salt, key)] = values[:, b * width : (b + 1) * width]
+        return values
+
+    with monkeypatch.context() as patch:
+        patch.setattr(walks, "stream_uniforms", record_draws)
+        array_scores = SingleSourceEstimator(graph, 0, config, seed=seed).estimate_batch(
+            candidates
+        )
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "keyed_uniforms", record_blocks)
+        reference = oracle.reference_scores(graph, 0, config, seed)(candidates, samples)
+
+    assert set(blocks) == {(seed, samples, v) for v in candidates}
+    key_of = dict(zip(stream_keys(seed, samples, candidates).tolist(), candidates))
+    # Every walk on the cycle stays alive, so each key draws its whole block.
+    assert len(drawn) == len(candidates) * (config.T - 1) * samples
+    for stream, counter, value in drawn:
+        step, lane = divmod(counter, samples)
+        block = blocks[(seed, samples, key_of[stream])]
+        assert block.shape == (config.T - 1, samples)
+        assert value == block[step, lane]
+    np.testing.assert_allclose(array_scores, reference, rtol=1e-12)
 
 
 # ----------------------------------------------------------------------

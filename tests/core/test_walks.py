@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.walks import DEAD, WalkEngine, sketch_from_walks
-from repro.errors import VertexError
+from repro.errors import ContractViolationError, VertexError
 from repro.graph.generators import cycle_graph, path_graph, star_graph
-from repro.utils.rng import keyed_uniforms
+from repro.utils.rng import keyed_uniforms, stream_keys
 
 
 class TestStepping:
@@ -88,17 +88,6 @@ class TestWalkMatrix:
         with pytest.raises(ValueError):
             engine.walk_matrix(0, R=0, T=5)
 
-    def test_multi_start(self, social_graph):
-        engine = WalkEngine(social_graph, seed=5)
-        walks = engine.walk_matrix_multi([1, 2, 3], T=4)
-        assert walks.shape == (4, 3)
-        np.testing.assert_array_equal(walks[0], [1, 2, 3])
-
-    def test_multi_start_validates(self, small_cycle):
-        engine = WalkEngine(small_cycle, seed=0)
-        with pytest.raises(VertexError):
-            engine.walk_matrix_multi([0, 99], T=3)
-
     def test_determinism_per_seed(self, social_graph):
         a = WalkEngine(social_graph, seed=6).walk_matrix(0, R=10, T=5)
         b = WalkEngine(social_graph, seed=6).walk_matrix(0, R=10, T=5)
@@ -157,35 +146,50 @@ class TestPositionSketch:
 
 
 class TestStepGiven:
-    def test_positional_uniform_consumption(self, social_graph):
-        """Fusing seeded bundles side by side must reproduce each bundle
-        bit-identically — every slot owns one uniform per step, dead
-        slots burn theirs."""
-        from repro.core.walks import WalkEngine
+    """Stepping on caller-given uniforms: :meth:`WalkEngine.step_live`
+    and the keyed live-walk loop built on it."""
 
+    def test_positional_uniform_consumption(self, social_graph):
+        """Fused live walks reproduce each seeded bundle bit-identically,
+        and walk r of key b draws entry (t, b·R + r) of the keyed block."""
         engine = WalkEngine(social_graph)
         R, T = 7, 5
-        singles = [
-            engine.walk_matrix_seeded(v, R, T, seed=100, salt=R) for v in (0, 3, 9)
-        ]
-        uniforms = keyed_uniforms(100, R, [0, 3, 9], T - 1, R)
-        fused = np.empty((T, 3 * R), dtype=np.int64)
-        fused[0] = np.repeat([0, 3, 9], R)
-        for t in range(1, T):
-            fused[t] = engine.step_given(fused[t - 1], uniforms[t - 1])
+        starts = np.array([0, 3, 9], dtype=np.int64)
+        singles = [engine.walk_matrix_seeded(int(v), R, T, seed=100, salt=R) for v in starts]
+        uniforms = keyed_uniforms(100, R, starts, T - 1, R)
+        fused = np.full((T, starts.size * R), DEAD, dtype=np.int64)
+        streams = stream_keys(100, R, starts)
+        for t, positions, segments, lanes in engine.live_walks(starts, R, T, streams):
+            slots = segments * R + lanes
+            fused[t, slots] = positions
+            if t > 0:
+                previous = fused[t - 1, slots]
+                degrees = social_graph.in_degrees[previous]
+                offsets = (uniforms[t - 1, slots] * degrees).astype(np.int64)
+                expected = social_graph.in_indices[social_graph.in_indptr[previous] + offsets]
+                np.testing.assert_array_equal(positions, expected)
         for i, single in enumerate(singles):
             np.testing.assert_array_equal(fused[:, i * R : (i + 1) * R], single)
 
-    def test_shape_mismatch_rejected(self):
-        from repro.core.walks import WalkEngine
+    def test_ended_walks_draw_nothing(self):
+        """Walks at a vertex without in-links end before the next draw,
+        and the loop stops once no walk is alive."""
+        graph = path_graph(4)  # 0 has no in-link; v's only in-neighbour is v - 1
+        engine = WalkEngine(graph)
+        starts = np.array([0, 2], dtype=np.int64)
+        steps = list(engine.live_walks(starts, 3, 6, stream_keys(1, 3, starts)))
+        assert [t for t, *_ in steps] == [0, 1, 2]
+        np.testing.assert_array_equal(steps[1][1], [1, 1, 1])
+        np.testing.assert_array_equal(steps[1][2], [1, 1, 1])
+        np.testing.assert_array_equal(steps[2][1], [0, 0, 0])
 
+    def test_shape_mismatch_rejected(self):
         engine = WalkEngine(cycle_graph(4))
-        with pytest.raises(ValueError):
-            engine.step_given(np.array([0, 1]), np.array([0.5]))
+        # ValueError from the kernel; the [W] contract under the sanitizer.
+        with pytest.raises((ValueError, ContractViolationError)):
+            engine.step_live(np.array([0, 1]), np.array([0.5]))
 
     def test_walk_matrix_seeded_deterministic(self, social_graph):
-        from repro.core.walks import WalkEngine
-
         engine = WalkEngine(social_graph)
         a = engine.walk_matrix_seeded(2, 10, 5, seed=3, salt=29)
         b = engine.walk_matrix_seeded(2, 10, 5, seed=3, salt=29)
@@ -276,15 +280,10 @@ class TestFlatKernels:
         u_sketch = FlatSketch(engine.walk_matrix(1, 30, T))
         bundles = [engine.walk_matrix(v, R, T) for v in (2, 5, 7)]
         diagonal = np.full(social_graph.n, 0.4)
+        segments = np.repeat(np.arange(3, dtype=np.int64), R)
         for t in range(T):
-            positions = np.concatenate([b[t] for b in bundles])
-            seg = segment_collisions(
-                positions,
-                *u_sketch.row(t),
-                diagonal,
-                segment_size=R,
-                n_segments=3,
-            )
+            positions = np.concatenate([b[t] for b in bundles])  # DEAD slots included
+            seg = segment_collisions(positions, segments, *u_sketch.row(t), diagonal, 3)
             for i, bundle in enumerate(bundles):
                 expected = FlatSketch(bundle).collision_value(u_sketch, t, diagonal)
                 assert seg[i] / (R * u_sketch.R) == pytest.approx(expected, abs=1e-15)
@@ -303,14 +302,14 @@ class TestFlatKernels:
     def test_segment_collisions_rejects_bad_layout(self):
         from repro.core.walks import segment_collisions
 
-        with pytest.raises(ValueError):
+        with pytest.raises((ValueError, ContractViolationError)):
             segment_collisions(
                 np.zeros(5, dtype=np.int64),
+                np.zeros(6, dtype=np.int64),
                 np.zeros(1, dtype=np.int64),
                 np.ones(1),
                 np.ones(3),
-                segment_size=2,
-                n_segments=3,
+                3,
             )
 
     def test_segment_self_collisions_matches_flat_sketch(self, social_graph):
@@ -323,7 +322,8 @@ class TestFlatKernels:
         segments = np.repeat(np.arange(2, dtype=np.int64), R)
         for t in range(T):
             positions = np.concatenate([b[t] for b in bundles])
-            sums = segment_self_collisions(positions, segments, diagonal, R, 2)
+            alive = positions >= 0  # the kernel takes live walks only
+            sums = segment_self_collisions(positions[alive], segments[alive], diagonal, R, 2)
             for i, bundle in enumerate(bundles):
                 expected = FlatSketch(bundle).self_collision_value(t, diagonal)
                 assert sums[i] == pytest.approx(expected, abs=1e-15)

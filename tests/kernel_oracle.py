@@ -13,7 +13,14 @@ against it (``benchmarks/bench_micro_kernels.py``):
   walks in :func:`~repro.core.montecarlo.single_pair_simrank`'s order;
 - :func:`reference_scores` — a score source ``scores(vertices, R)`` for
   :func:`~repro.core.query.scan`, one keyed-block bundle per candidate;
-- :func:`reference_signatures` — Algorithm 4 one vertex at a time.
+- :func:`reference_signatures` — Algorithm 4 one vertex at a time;
+- :func:`full_width_walks` — keyed walk bundles stepped at full width,
+  every slot on its own entry of the
+  :func:`~repro.utils.rng.keyed_uniforms` block (a dead slot burns its
+  draw), the layout the live-walk loops of ``src/`` must reproduce bit
+  for bit; :func:`full_width_scores` and :func:`full_width_gamma_rows`
+  reduce it with the float operations of the served kernels, so they
+  compare with ``==``.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ import numpy as np
 from repro.core.config import SimRankConfig
 from repro.core.index import _signatures_from_block
 from repro.core.linear import DiagonalLike, resolve_diagonal
-from repro.core.walks import WalkEngine
+from repro.core.walks import DEAD, FlatSketch, WalkEngine
 from repro.graph.csr import CSRGraph
-from repro.utils.rng import SeedLike, ensure_rng, root_seed
+from repro.utils.rng import SeedLike, ensure_rng, keyed_uniforms, root_seed
 
 __all__ = [
     "PositionSketch",
@@ -35,6 +42,9 @@ __all__ = [
     "reference_single_pair",
     "reference_scores",
     "reference_signatures",
+    "full_width_walks",
+    "full_width_scores",
+    "full_width_gamma_rows",
 ]
 
 
@@ -120,7 +130,7 @@ def reference_scores(
 
     u's sketch comes from the first ``r_pair`` walks of ``seed``'s stream
     and candidate v's R-walk bundle from
-    ``walk_matrix_seeded(v, R, T, seed, salt=R)`` — the draws of
+    ``full_width_walks(graph, [v], R, T, seed, salt=R)`` — the draws of
     :class:`~repro.core.montecarlo.SingleSourceEstimator` built with the
     same int seed (a query plan's ``score_seed``).
     """
@@ -132,7 +142,7 @@ def reference_scores(
         values = np.ones(len(vertices))
         for i, v in enumerate(int(v) for v in vertices):
             if v != u:
-                bundle = engine.walk_matrix_seeded(v, R, config.T, seed, R)
+                bundle = full_width_walks(graph, [v], R, config.T, seed, R)
                 values[i] = reference_series(sketch_u, PositionSketch(bundle), config.c, d)[0]
         return values
 
@@ -148,13 +158,112 @@ def reference_signatures(
     """Algorithm 4 vertex by vertex, each from its own seeded bundle."""
     targets = [int(u) for u in (range(graph.n) if vertices is None else vertices)]
     base_seed = root_seed(seed)
-    engine = WalkEngine(graph)
     width = config.index_walks * (1 + config.index_checks)
     return [
         _signatures_from_block(
-            engine.walk_matrix_seeded(u, width, config.T, base_seed, 29),
-            [u],
-            config,
+            full_width_walks(graph, [u], width, config.T, base_seed, 29), [u], config
         )[0]
         for u in targets
     ]
+
+
+def full_width_walks(
+    graph: CSRGraph, starts: Sequence[int], R: int, T: int, seed: int, salt: int
+) -> np.ndarray:
+    """R keyed walks per start as one ``(T, len(starts)·R)`` matrix.
+
+    Slot ``b·R + r`` steps from t to t + 1 on entry ``(t, b·R + r)`` of
+    ``keyed_uniforms(seed, salt, starts, T - 1, R)`` whether or not it
+    is alive, and a walk at a vertex without in-links turns DEAD.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    uniforms = keyed_uniforms(seed, salt, starts, T - 1, R)
+    degrees, indptr, indices = graph.in_degrees, graph.in_indptr, graph.in_indices
+    walks = np.full((T, starts.size * R), DEAD, dtype=np.int64)
+    walks[0] = np.repeat(starts, R)
+    for t in range(1, T):
+        previous = walks[t - 1]
+        movable = previous >= 0
+        movable[movable] = degrees[previous[movable]] > 0
+        sources = previous[movable]
+        offsets = (uniforms[t - 1][movable] * degrees[sources]).astype(np.int64)
+        walks[t][movable] = indices[indptr[sources] + offsets]
+    return walks
+
+
+def full_width_scores(
+    graph: CSRGraph,
+    u: int,
+    config: SimRankConfig,
+    seed: int,
+    diagonal: DiagonalLike = None,
+) -> Callable[[Sequence[int], int], np.ndarray]:
+    """Score source of :class:`~repro.core.montecarlo.SingleSourceEstimator`'s
+    batch on full-width walks.
+
+    u's sketch is the estimator's (the first ``r_pair`` walks of
+    ``seed``'s stream); the candidates' bundles are one
+    :func:`full_width_walks` matrix (salt R).  Per step, every slot in
+    slot order that sits on a u-sketch vertex w adds ``D_ww · count_w``
+    to its candidate's sum, and the sums are scaled and accumulated as
+    the served kernel does, so the scores are bit-identical to it.
+    """
+    engine = WalkEngine(graph, ensure_rng(seed))
+    sketch_u = FlatSketch(engine.walk_matrix(u, config.r_pair, config.T))
+    d = resolve_diagonal(graph.n, config.c, diagonal)
+
+    def scores(vertices: Sequence[int], R: int) -> np.ndarray:
+        cand = np.asarray(vertices, dtype=np.int64)
+        values = np.ones(cand.size)
+        others = np.flatnonzero(cand != u)
+        if others.size == 0:
+            return values
+        walks = full_width_walks(graph, cand[others], R, config.T, seed, R)
+        totals = np.zeros(others.size)
+        weight, norm = 1.0, R * sketch_u.R
+        for t in range(config.T):
+            counts = dict(zip(*(row.tolist() for row in sketch_u.row(t))))
+            hits = [
+                (slot // R, d[w] * counts[w])
+                for slot, w in enumerate(walks[t].tolist())
+                if w in counts
+            ]
+            mass = np.zeros(others.size)
+            if hits:
+                segments, weights = zip(*hits)
+                mass = np.bincount(segments, weights=weights, minlength=others.size)
+            totals += mass * (weight / norm)
+            weight *= config.c
+        values[others] = totals
+        return values
+
+    return scores
+
+
+def full_width_gamma_rows(
+    graph: CSRGraph,
+    vertices: Sequence[int],
+    config: SimRankConfig,
+    seed: SeedLike = None,
+    diagonal: DiagonalLike = None,
+) -> np.ndarray:
+    """Algorithm 3 rows vertex by vertex on full-width walks (salt 31).
+
+    γ(u, t)² sums ``D_ww (count_w / R)²`` over the distinct alive
+    vertices of step t in ascending order, one addition at a time, as
+    the served kernel's ``bincount`` does.
+    """
+    base_seed = root_seed(seed)
+    d = resolve_diagonal(graph.n, config.c, diagonal)
+    R, T = config.r_gamma, config.T
+    rows = np.zeros((len(vertices), T))
+    for i, u in enumerate(int(u) for u in vertices):
+        walks = full_width_walks(graph, [u], R, T, base_seed, 31)
+        for t in range(T):
+            row = walks[t]
+            alive, counts = np.unique(row[row >= 0], return_counts=True)
+            total = 0.0
+            for term in (d[alive] * (counts.astype(np.float64) / R) ** 2).tolist():
+                total += term
+            rows[i, t] = np.sqrt(total)
+    return rows

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.utils.rng import keyed_uniforms, root_seed
+from repro.utils.rng import keyed_uniforms, root_seed, stream_keys, stream_uniforms
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
@@ -54,6 +54,19 @@ class TestFormula:
         np.testing.assert_array_equal(
             keyed_uniforms(-1, 3, [4], 2, 2), keyed_uniforms(MASK, 3, [4], 2, 2)
         )
+
+    def test_any_entry_drawn_alone_equals_the_block(self):
+        """``stream_uniforms`` reads entry (t, b·width + r) as value
+        t·width + r of key b's stream, in any order and with repeats."""
+        keys, rows, width = [9, 0, 2**33], 4, 6
+        block = keyed_uniforms(5, 31, keys, rows, width)
+        streams = stream_keys(5, 31, keys)
+        rng = np.random.default_rng(0)
+        b = rng.integers(0, len(keys), size=50)
+        t = rng.integers(0, rows, size=50)
+        r = rng.integers(0, width, size=50)
+        drawn = stream_uniforms(streams[b], t * width + r)
+        np.testing.assert_array_equal(drawn, block[t, b * width + r])
 
 
 class TestPurity:
@@ -130,36 +143,39 @@ class TestFreshEntropy:
     def recorded_seeds(monkeypatch, module, run):
         seeds = []
 
-        def draw(seed, salt, keys, rows, width):
+        def keys_of(seed, salt, keys):
             seeds.append(seed)
-            return keyed_uniforms(seed, salt, keys, rows, width)
+            return stream_keys(seed, salt, keys)
 
-        monkeypatch.setattr(module, "keyed_uniforms", draw)
+        monkeypatch.setattr(module, "stream_keys", keys_of)
         run()
         monkeypatch.undo()
         return seeds
 
     def test_two_estimators_get_different_draws(self, monkeypatch):
         import repro.core.montecarlo as montecarlo
+        import repro.core.walks as walks
         from repro.core.config import SimRankConfig
         from repro.graph.generators import copying_web_graph
 
         graph = copying_web_graph(60, out_degree=3, seed=2)
         config = SimRankConfig(T=5, r_pair=20)
-        blocks = []
+        draws = []
 
-        def draw(seed, salt, keys, rows, width):
-            values = keyed_uniforms(seed, salt, keys, rows, width)
-            blocks.append(values)
+        def draw(streams, counters):
+            values = stream_uniforms(streams, counters)
+            draws[-1].append(values)
             return values
 
-        monkeypatch.setattr(montecarlo, "keyed_uniforms", draw)
+        monkeypatch.setattr(walks, "stream_uniforms", draw)
         for _ in range(2):
+            draws.append([])
             estimator = montecarlo.SingleSourceEstimator(graph, 0, config, seed=None)
             estimator.estimate_batch([1, 2, 3], R=10)
             estimator.estimate_batch([4], R=10)
-        first, second = blocks[0], blocks[2]
-        assert first.shape == second.shape and not np.any(first == second)
+        first, second = (np.concatenate(values) for values in draws)
+        assert first.size and second.size
+        assert np.intersect1d(first, second).size == 0
 
     def test_one_root_per_build_call(self, monkeypatch):
         import repro.core.bounds as bounds

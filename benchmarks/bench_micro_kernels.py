@@ -30,7 +30,7 @@ from repro.core.exact import exact_simrank
 from repro.core.index import build_signatures
 from repro.core.linear import resolve_diagonal, single_pair_series, single_source_series
 from repro.core.montecarlo import SingleSourceEstimator, single_pair_simrank
-from repro.core.walks import FlatSketch, WalkEngine, segment_collisions
+from repro.core.walks import STEP_SHIFT, FlatSketch, WalkEngine, tagged_collisions
 from repro.utils.bench import write_sidecar
 from tests.kernel_oracle import PositionSketch, reference_scores, reference_signatures
 
@@ -200,9 +200,9 @@ class TestKernelComparison:
             "reference": _timed(lambda: PositionSketch(walks), repeats),
         }
 
-        # 2. Batch collision: one searchsorted+bincount over the whole
-        # candidate batch (segment_collisions) vs probing the reference
-        # sketch's dict once per walk position.  This is the shape the
+        # 2. Batch collision: one searchsorted+bincount over every step
+        # of the whole candidate batch (tagged_collisions) vs probing the
+        # reference sketch's dict once per walk position and step.  This is the shape the
         # query path actually runs; a lone pairwise collision_value call
         # is dominated by numpy dispatch overhead at R=100 and is not a
         # hot path in either kernel.
@@ -213,13 +213,17 @@ class TestKernelComparison:
             0, graph.n, size=B * config.r_pair
         ).astype(np.int64)
         segments = np.repeat(np.arange(B, dtype=np.int64), config.r_pair)
+        # The same walk positions at every step, tagged with their step,
+        # each in its (step, candidate) cell t·B + segment.
+        steps = np.repeat(np.arange(config.T, dtype=np.int64), positions.size)
+        keys = (steps << STEP_SHIFT) | np.tile(positions, config.T)
+        cells = steps * B + np.tile(segments, config.T)
 
         def array_collisions() -> np.ndarray:
-            total = np.zeros(B)
-            for t in range(config.T):
-                vertices, counts = flat_u.row(t)
-                total += segment_collisions(positions, segments, vertices, counts, diagonal, B)
-            return total
+            mass = tagged_collisions(
+                keys, cells, flat_u.keys, flat_u.counts, diagonal, config.T * B
+            )
+            return mass.reshape(config.T, B).sum(axis=0)
 
         def dict_collisions() -> list:
             total = [0.0] * B

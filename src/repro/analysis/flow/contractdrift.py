@@ -63,7 +63,7 @@ REQUIRED_CONTRACTS: Dict[str, Tuple[str, ...]] = {
         "step_live",
         "walk_matrix",
         "walk_matrix_seeded",
-        "segment_collisions",
+        "tagged_collisions",
         "segment_self_collisions",
     ),
     "core/bounds.py": ("compute_gamma",),

@@ -58,9 +58,9 @@ from repro.graph.csr import CSRGraph
 from repro.graph.traversal import UNREACHABLE, bfs_distances
 from repro.core.config import SimRankConfig
 from repro.core.linear import DiagonalLike, resolve_diagonal
-from repro.core.walks import FlatSketch, WalkEngine, segment_self_collisions
+from repro.core.walks import STEP_SHIFT, FlatSketch, WalkEngine, segment_self_collisions
 from repro.utils.contracts import contract
-from repro.utils.rng import SeedLike, ensure_rng, root_seed, stream_keys
+from repro.utils.rng import SeedLike, root_seed, stream_keys
 
 
 __all__ = [
@@ -174,7 +174,7 @@ def l1_walks(
         raise VertexError(u, graph.n)
     d_vec = resolve_diagonal(graph.n, config.c, diagonal)
     R = config.r_alphabeta
-    sketch = FlatSketch(WalkEngine(graph, ensure_rng(seed)).walk_matrix(u, R, config.T))
+    sketch = WalkEngine(graph, seed).sketch(u, R, config.T)
     return L1Walks(c=config.c, sketch=sketch, values=d_vec[sketch.vertices] * sketch.counts / R)
 
 
@@ -215,36 +215,33 @@ def compute_alpha_beta(
     if distances is None:
         distances = bfs_distances(graph, u, direction="in", max_distance=d_max)
 
+    # Every walk position w of every step t: α takes the max over the
+    # (d(u, w), t) pairs, and step t's far bin the max of the rest.
+    steps = walks.sketch.keys >> STEP_SHIFT
+    dist_of = distances[walks.sketch.vertices]
+    near = (dist_of != UNREACHABLE) & (dist_of <= d_max)
     alpha = np.zeros((d_max + 1, T))
+    np.maximum.at(alpha, (dist_of[near], steps[near]), walks.values[near])
     far = np.zeros(T)
-    for t in range(T):
-        vertices, values = walks.step(t)
-        if vertices.size == 0:
-            continue
-        dist_of = distances[vertices]
-        near = (dist_of != UNREACHABLE) & (dist_of <= d_max)
-        if near.any():
-            np.maximum.at(alpha[:, t], dist_of[near], values[near])
-        if not near.all():
-            far[t] = values[~near].max()
+    np.maximum.at(far, steps[~near], walks.values[~near])
 
-    # Row d of ``offset`` holds d' - d; step t's window is the d' with
+    # offset[d, d'] = d' - d; step t's window is the d' with
     # -t <= d' - d <= t (only the upper side when asymmetric).  Entries
     # outside it read 0, which leaves each max unchanged since α >= 0.
-    beta = np.zeros(d_max + 1)
-    weights = config.c ** np.arange(T)
     levels = np.arange(d_max + 1, dtype=np.int64)
     offset = levels[None, :] - levels[:, None]
+    reach = np.arange(T)[:, None, None]
+    window = offset <= reach
+    if symmetric_distance:
+        window &= offset >= -reach
+    best = np.where(window, alpha.T[:, None, :], 0.0).max(axis=2)  # (T, d_max + 1)
+    # Step t's far bin joins every window that reaches down to t.
+    reached = levels <= 2 * np.arange(T)[:, None] if symmetric_distance else True
+    np.maximum(best, np.where(reached, far[:, None], 0.0), out=best)
+    beta = np.zeros(d_max + 1)
+    weights = config.c ** np.arange(T)
     for t in range(T):
-        window = offset <= t
-        if symmetric_distance:
-            window &= offset >= -t
-        best = np.where(window, alpha[:, t], 0.0).max(axis=1)
-        if far[t] > 0.0:
-            # The far bin joins every window that reaches down to t.
-            reached = levels - t <= t if symmetric_distance else levels >= 0
-            best = np.maximum(best, np.where(reached, far[t], 0.0))
-        beta += weights[t] * best
+        beta += weights[t] * best[t]
     return L1Bound(u=u, c=config.c, d_max=d_max, alpha=alpha, beta=beta, far=far)
 
 

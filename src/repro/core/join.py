@@ -130,7 +130,7 @@ def similarity_join(
         key = (u, budget)
         cached = sketch_cache.get(key)
         if cached is None:
-            cached = FlatSketch(engine.walk_matrix(u, budget, config.T))
+            cached = engine.sketch(u, budget, config.T)
             sketch_cache[key] = cached
         return cached
 

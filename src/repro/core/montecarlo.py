@@ -35,9 +35,9 @@ from repro.errors import ConfigError, VertexError
 from repro.graph.csr import CSRGraph
 from repro.core.config import SimRankConfig
 from repro.core.linear import resolve_diagonal, DiagonalLike
-from repro.core.walks import FlatSketch, WalkEngine, segment_collisions
+from repro.core.walks import STEP_SHIFT, FlatSketch, WalkEngine, tagged_collisions
 from repro.obs import instrument as obs
-from repro.utils.rng import SeedLike, derive_seed, ensure_rng, root_seed, stream_keys
+from repro.utils.rng import SeedLike, derive_seed, root_seed, stream_keys
 
 
 __all__ = [
@@ -95,8 +95,8 @@ def single_pair_simrank(
     samples = R if R is not None else config.r_pair
     d = resolve_diagonal(graph.n, config.c, diagonal)
     engine = WalkEngine(graph, seed)
-    sketch_u = FlatSketch(engine.walk_matrix(u, samples, config.T))
-    sketch_v = FlatSketch(engine.walk_matrix(v, samples, config.T))
+    sketch_u = engine.sketch(u, samples, config.T)
+    sketch_v = engine.sketch(v, samples, config.T)
     value, meetings = sketch_u.series(sketch_v, config.c, d)
     if obs.OBS.enabled:
         obs.record_walk_bundle(
@@ -124,8 +124,8 @@ class SingleSourceEstimator:
       of the estimator's root seed, so its score is a deterministic
       function of ``(seed, v, R)`` and therefore independent of batch
       composition and order.  The whole batch steps its live walks
-      together and reduces them against the u-sketch with segment sums
-      (see ``docs/performance.md``).
+      together and reduces them against the u-sketch once, after the
+      loop (see ``docs/performance.md``).
     """
 
     def __init__(
@@ -149,12 +149,10 @@ class SingleSourceEstimator:
             raise VertexError(u, graph.n)
         self.u = int(u)
         self.diagonal = resolve_diagonal(graph.n, self.config.c, diagonal)
-        self.engine = WalkEngine(graph, ensure_rng(seed))
+        self.engine = WalkEngine(graph, seed)
         self.walks_simulated = 0
         if sketch_u is None:
-            sketch_u = FlatSketch(
-                self.engine.walk_matrix(self.u, self.config.r_pair, self.config.T)
-            )
+            sketch_u = self.engine.sketch(self.u, self.config.r_pair, self.config.T)
             self.walks_simulated = self.config.r_pair
             if obs.OBS.enabled:
                 obs.record_walk_bundle(
@@ -165,6 +163,7 @@ class SingleSourceEstimator:
         # for seed=None).  Resolved *after* the u-bundle, so a Generator
         # seed's first draws go to u's walks.
         self._batch_seed = root_seed(seed)
+        self._sketch_filter: Optional[Tuple[np.ndarray, int]] = None
 
     def estimate(self, v: int, R: Optional[int] = None) -> float:
         """Estimate s^(T)(u, v) with a fresh R-walk bundle for v."""
@@ -173,7 +172,7 @@ class SingleSourceEstimator:
         if v == self.u:
             return 1.0
         samples = R if R is not None else self.config.r_pair
-        sketch_v = FlatSketch(self.engine.walk_matrix(v, samples, self.config.T))
+        sketch_v = self.engine.sketch(v, samples, self.config.T)
         self.walks_simulated += samples
         value, meetings = self.sketch_u.series(sketch_v, self.config.c, self.diagonal)
         if obs.OBS.enabled:
@@ -219,37 +218,51 @@ class SingleSourceEstimator:
     def _batch_array(
         self, others: np.ndarray, samples: int
     ) -> Tuple[np.ndarray, int]:
-        """Fused kernel: the batch's live walks, reduced step by step.
+        """Fused kernel: the batch's live walks, reduced once after the loop.
 
         The candidates' bundles run through one
         :meth:`WalkEngine.live_walks` loop on their keyed streams (salt
-        R, key v); per step, one :func:`segment_collisions` of the live
-        walks against the u-sketch's sorted row.  The loop ends when no
-        candidate walk or no u-walk is alive, since every later term is
-        zero.  A walk's draws are fixed by (v, step, lane), so each
-        candidate's trajectories are bit-identical to
+        R, key v).  Each step t ≥ 1 keeps the step-tagged keys and the
+        ``(t-1)·B + segment`` cells of its walks that pass a membership
+        filter of the u-sketch's vertices; the rest cannot collide.  (At
+        t = 0 every walk sits on its own candidate, and u's row holds u
+        alone, so that term is zero.)  The loop ends when no candidate
+        walk or no u-walk is alive, since every later term is zero.  One
+        :func:`tagged_collisions` then sums every (step, candidate) cell
+        against the u-sketch, and the c^t-scaled steps add up in t order.
+        A walk's draws are fixed by (v, step, lane), so each candidate's
+        trajectories are bit-identical to
         :meth:`WalkEngine.walk_matrix_seeded` of that candidate alone.
         """
         T, c = self.config.T, self.config.c
         B = int(others.size)
         sketch_u = self.sketch_u
         streams = stream_keys(self._batch_seed, samples, others)
-        totals = np.zeros(B)
-        meetings = 0
-        weight = 1.0
-        norm = samples * sketch_u.R
+        if self._sketch_filter is None:
+            self._sketch_filter = _membership_filter(sketch_u.vertices)
+        on_sketch, mask = self._sketch_filter
+        keys, cells = [], []
         for t, positions, segments, _ in self.engine.live_walks(others, samples, T, streams):
-            row_vertices, row_counts = sketch_u.row(t)
-            if row_vertices.size == 0:
+            if sketch_u.offsets[t] == sketch_u.offsets[t + 1]:
                 break
-            segment_mass = segment_collisions(
-                positions, segments, row_vertices, row_counts, self.diagonal, B
-            )
-            terms = segment_mass * (weight / norm)
+            if t:
+                hit = on_sketch[positions & mask]
+                keys.append(positions[hit] + (t << STEP_SHIFT))
+                cells.append(segments[hit] + (t - 1) * B)
+        totals = np.zeros(B)
+        if not keys:
+            return totals, 0
+        mass = tagged_collisions(
+            np.concatenate(keys), np.concatenate(cells), sketch_u.keys,
+            sketch_u.counts, self.diagonal, len(keys) * B,
+        ).reshape(len(keys), B)
+        norm = samples * sketch_u.R
+        weight = c
+        for terms in mass:
+            terms *= weight / norm
             totals += terms
-            meetings += int(np.count_nonzero(terms > 0.0))
             weight *= c
-        return totals, meetings
+        return totals, int(np.count_nonzero(mass > 0.0))
 
     def estimate_many(
         self, candidates: Sequence[int], R: Optional[int] = None
@@ -258,6 +271,18 @@ class SingleSourceEstimator:
         cand = [int(v) for v in candidates]
         scores = self.estimate_batch(cand, R=R)
         return {v: float(score) for v, score in zip(cand, scores)}
+
+
+def _membership_filter(vertices: np.ndarray) -> Tuple[np.ndarray, int]:
+    """A table and mask with ``table[w & mask]`` True for every w in ``vertices``.
+
+    The table has ≥16 slots per vertex whatever the graph size, so a
+    vertex off the set hits it rarely; a hit is then matched exactly.
+    """
+    mask = (1 << max(8, (16 * vertices.size).bit_length())) - 1
+    table = np.zeros(mask + 1, dtype=bool)
+    table[vertices & mask] = True
+    return table, mask
 
 
 @_dataclass

@@ -34,12 +34,14 @@ sharded deployment runs both stages whole in one worker process
 The scan is *shell-batched*: candidates at the same distance form one
 shell, the pruning cutoff is frozen at the shell boundary (freezing can
 only prune less than the per-candidate evolving cutoff, so it stays
-sound), and the whole shell is screened and refined with one batched
-estimate each.  θ-termination is evaluated at every shell boundary
-against the live cutoff.  Batch scores come from per-candidate derived
-seeds, so an estimate is a function of ``(vertex, R)`` alone: results
-do not depend on shell composition, nor on which process computed them
-(see ``docs/performance.md``).
+sound), and θ-termination is evaluated at every shell boundary against
+the live cutoff.  It scores in one pass: no cutoff is below θ, so one
+screen of the θ-floor set (bound ≥ θ) and one refine of its candidates
+whose screen clears θ·``screen_slack`` hold every estimate any shell
+asks for, and the shell loop replays over them.  Batch scores come from
+per-candidate derived seeds, so an estimate is a function of
+``(vertex, R)`` alone: results do not depend on batch composition, nor
+on which process computed them (see ``docs/performance.md``).
 
 Distances are measured in the *undirected* graph: reverse-walk supports
 satisfy d_und(u, w) ≤ t, so the symmetric triangle inequality makes the
@@ -100,6 +102,9 @@ class QueryStats:
     stopped_early_at_distance: Optional[int] = None
     screened: int = 0
     refined: int = 0
+    #: Walks drawn: the plan's, plus R per estimate taken.  The one-pass
+    #: scan takes estimates for the whole θ-floor set, so once the heap
+    #: fills this can exceed what a shell-by-shell scan would draw.
     walks_simulated: int = 0
     elapsed_seconds: float = 0.0
 
@@ -307,12 +312,24 @@ def plan_query(
 
 
 def scan(plan: QueryPlan, k: Optional[int], scores: Scores) -> TopKResult:
-    """Stage two of Algorithm 5: the shell-batched pruning scan.
+    """Stage two of Algorithm 5: the shell-batched pruning scan, in one pass.
+
+    No cutoff is below θ, so every shell's survivors have a bound ≥ θ,
+    and every shell's promoted candidates a screen ≥ θ·``screen_slack``.
+    The scan therefore takes all its estimates first, in at most two
+    calls of ``scores``: the θ-floor set (bound ≥ θ) at ``r_screen``,
+    then its candidates that clear θ·``screen_slack`` at ``r_pair``
+    (the θ-floor set at ``r_pair`` when the plan is not adaptive).  It
+    then replays the shell loop over the stored estimates.  An estimate
+    is a function of (seed, v, R) alone, so the answer is the one a
+    scan that scores shell by shell gives, and ``screened``,
+    ``refined``, ``pruned_by_bound`` and ``skipped_by_termination``
+    count that scan's decisions.  ``walks_simulated`` counts the walks
+    drawn: the plan's and those behind every estimate taken from
+    ``scores``, wherever it was computed.
 
     ``k=None`` scans at the θ-floor: the cutoff never rises above θ, so
-    the scan asks for every estimate any real cutoff could ask for.  The
-    stats count the walks behind every estimate taken from ``scores``,
-    wherever it was computed.
+    the scan keeps every candidate any real cutoff could keep.
     """
     config = plan.config
     stats = QueryStats(candidates=len(plan), fallback_used=plan.fallback_used)
@@ -321,9 +338,21 @@ def scan(plan: QueryPlan, k: Optional[int], scores: Scores) -> TopKResult:
     if not len(plan):
         return result
 
-    def estimate(vertices: np.ndarray, R: int) -> np.ndarray:
-        stats.walks_simulated += R * int(vertices.size)
-        return scores(vertices, R)
+    def estimate(at: np.ndarray, R: int, out: np.ndarray) -> None:
+        if at.size:
+            stats.walks_simulated += R * int(at.size)
+            out[at] = scores(plan.candidates[at], R)
+
+    # Estimates aligned with ``plan.candidates``; NaN where not taken.
+    screen = np.full(len(plan), np.nan)
+    refine = np.full(len(plan), np.nan)
+    floor = np.flatnonzero(plan.bounds >= config.theta)
+    if plan.adaptive:
+        estimate(floor, config.r_screen, screen)
+        estimate(floor[screen[floor] >= config.theta * config.screen_slack],
+                 config.r_pair, refine)
+    else:
+        estimate(floor, config.r_pair, refine)
 
     # Min-heap of (score, vertex) holding the best k seen so far.
     heap: List[Tuple[float, int]] = []
@@ -345,29 +374,26 @@ def scan(plan: QueryPlan, k: Optional[int], scores: Scores) -> TopKResult:
                 stats.stopped_early_at_distance = d
                 stats.skipped_by_termination = len(plan) - start
                 break
-        shell = plan.candidates[start:end]
 
         # Cutoff frozen at the shell boundary; all of the shell's prune
         # and screen/refine decisions use it (sound: frozen ≤ evolving).
         cut = cutoff()
-        survivors = shell[plan.bounds[start:end] >= cut]
-        stats.pruned_by_bound += int(shell.size - survivors.size)
+        survivors = start + np.flatnonzero(plan.bounds[start:end] >= cut)
+        stats.pruned_by_bound += int(end - start - survivors.size)
         if survivors.size == 0:
             continue
 
         if plan.adaptive:
-            values = estimate(survivors, config.r_screen)
+            values = screen[survivors]
             stats.screened += int(survivors.size)
             promote = values >= cut * config.screen_slack
-            if promote.any():
-                values = values.copy()
-                values[promote] = estimate(survivors[promote], config.r_pair)
-                stats.refined += int(np.count_nonzero(promote))
+            values[promote] = refine[survivors[promote]]
+            stats.refined += int(np.count_nonzero(promote))
         else:
-            values = estimate(survivors, config.r_pair)
+            values = refine[survivors]
             stats.refined += int(survivors.size)
 
-        for v, score in zip(survivors.tolist(), values.tolist()):
+        for v, score in zip(plan.candidates[survivors].tolist(), values.tolist()):
             if score >= config.theta:
                 if k is None or len(heap) < k:
                     heapq.heappush(heap, (score, v))

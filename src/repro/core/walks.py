@@ -23,15 +23,15 @@ without in-links end, and the survivors move through the one stepping
 kernel, :meth:`WalkEngine.step_live`.  :meth:`WalkEngine.walk_matrix`
 draws the survivors' uniforms from the engine's shared stream; the
 batch kernels instead give walk r of the bundle from start v value
-``t·R + r`` of v's keyed stream
-(:func:`~repro.utils.rng.stream_uniforms`), entry ``(t, r)`` of v's
-:func:`~repro.utils.rng.keyed_uniforms` block.  A walk's draw is fixed
-by (key, step, lane), and an ended walk draws nothing.  That is what
-makes fusing exact: a key's stream does not depend on the other keys
-stepped with it, so a fused batch of bundles yields bit-identical
-trajectories to stepping each seeded bundle alone, and batch results
-are reproducible from ``(seed, salt, start vertex)`` regardless of
-batch composition.
+``t·R + r`` of v's keyed stream, entry ``(t, r)`` of v's
+:func:`~repro.utils.rng.keyed_uniforms` block, read at the SplitMix
+cursor each walk carries (:func:`~repro.utils.rng.cursor_uniforms`).
+A walk's draw is fixed by (key, step, lane), and an ended walk draws
+nothing.  That is what makes fusing exact: a key's stream does not
+depend on the other keys stepped with it, so a fused batch of bundles
+yields bit-identical trajectories to stepping each seeded bundle alone,
+and batch results are reproducible from ``(seed, salt, start vertex)``
+regardless of batch composition.
 """
 
 from __future__ import annotations
@@ -43,20 +43,32 @@ import numpy as np
 from repro.errors import VertexError
 from repro.graph.csr import CSRGraph
 from repro.utils.contracts import contract
-from repro.utils.rng import SeedLike, ensure_rng, stream_keys, stream_uniforms
+from repro.utils.rng import (
+    SeedLike,
+    cursor_stride,
+    cursor_uniforms,
+    ensure_rng,
+    stream_cursors,
+    stream_keys,
+)
 
 
 __all__ = [
     "DEAD",
+    "STEP_SHIFT",
     "WalkEngine",
     "FlatSketch",
     "sketch_from_walks",
     "run_length_encode",
-    "segment_collisions",
+    "tagged_collisions",
     "segment_self_collisions",
 ]
 #: Marker for a terminated walk (its vertex had no in-links).
 DEAD = -1
+#: Bit position of the step tag in a step-tagged key ``(t << 32) | vertex``
+#: (:attr:`FlatSketch.keys`, :func:`tagged_collisions`).
+STEP_SHIFT = 32
+_VERTEX_MASK = (1 << STEP_SHIFT) - 1
 
 
 class WalkEngine:
@@ -64,10 +76,23 @@ class WalkEngine:
 
     def __init__(self, graph: CSRGraph, seed: SeedLike = None) -> None:
         self.graph = graph
-        self.rng = ensure_rng(seed)
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
         self._indptr = graph.in_indptr
         self._indices = graph.in_indices
         self._degrees = graph.in_degrees
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The engine's shared stream, made from ``seed`` on first use.
+
+        The keyed batch kernels never draw from it, so an engine that
+        only runs them never builds a generator; a generator ``seed`` is
+        the stream itself, and ``seed=None`` gives fresh entropy.
+        """
+        if self._rng is None:
+            self._rng = ensure_rng(self._seed)
+        return self._rng
 
     @contract(positions="int64", returns="int64")  # no-alloc
     def step(self, positions: np.ndarray) -> np.ndarray:  # hot-path
@@ -128,12 +153,16 @@ class WalkEngine:
         — entry ``(t, segment·R + lane)`` of the matching
         :func:`~repro.utils.rng.keyed_uniforms` block — so the walks
         are the full-width positional ones, and an ended walk draws
-        nothing.  With ``streams=None`` the survivors draw from the
-        engine's shared stream in slot order instead.
+        nothing.  Each walk carries its SplitMix cursor
+        (:func:`~repro.utils.rng.stream_cursors`), which moves ``R``
+        values per step.  With ``streams=None`` the survivors draw from
+        the engine's shared stream in slot order instead.
         """
         starts = np.asarray(starts, dtype=np.int64)
         positions = np.repeat(starts, R)
         segments, lanes = np.divmod(np.arange(starts.size * R, dtype=np.int64), R)
+        cursors = None if streams is None else stream_cursors(np.repeat(streams, R), lanes)
+        stride = cursor_stride(R)
         for t in range(T):
             yield t, positions, segments, lanes
             if t + 1 == T:
@@ -141,13 +170,29 @@ class WalkEngine:
             keep = self._degrees[positions] > 0
             if not keep.all():
                 positions, segments, lanes = positions[keep], segments[keep], lanes[keep]
+                if cursors is not None:
+                    cursors = cursors[keep]
                 if positions.size == 0:
                     return
-            if streams is None:
+            if cursors is None:
                 uniforms = self.rng.random(positions.size)
             else:
-                uniforms = stream_uniforms(streams[segments], lanes + t * R)
+                uniforms = cursor_uniforms(cursors)
+                cursors += stride
             positions = self.step_live(positions, uniforms)
+
+    def sketch(self, start: int, R: int, T: int) -> "FlatSketch":
+        """The :class:`FlatSketch` of :meth:`walk_matrix`'s bundle, same draws.
+
+        It is built from the step-tagged keys of the live walks, with no
+        ``(T, R)`` matrix in between.
+        """
+        self._check_bundle(start, R, T)
+        keys = [
+            positions + (t << STEP_SHIFT)
+            for t, positions, _, _ in self.live_walks(np.array([start]), R, T)
+        ]
+        return FlatSketch.from_keys(np.concatenate(keys), T, R)
 
     @contract(returns="int64[2d]")
     def walk_matrix(self, start: int, R: int, T: int) -> np.ndarray:
@@ -179,14 +224,17 @@ class WalkEngine:
         self, start: int, R: int, T: int, streams: Optional[np.ndarray]
     ) -> np.ndarray:
         """One start's (T, R) walk matrix, DEAD where a walk has ended."""
-        if not 0 <= start < self.graph.n:
-            raise VertexError(start, self.graph.n)
-        if R < 1 or T < 1:
-            raise ValueError(f"R and T must be >= 1, got R={R}, T={T}")
+        self._check_bundle(start, R, T)
         out = np.full((T, R), DEAD, dtype=np.int64)
         for t, positions, _, lanes in self.live_walks(np.array([start]), R, T, streams):
             out[t, lanes] = positions
         return out
+
+    def _check_bundle(self, start: int, R: int, T: int) -> None:
+        if not 0 <= start < self.graph.n:
+            raise VertexError(start, self.graph.n)
+        if R < 1 or T < 1:
+            raise ValueError(f"R and T must be >= 1, got R={R}, T={T}")
 
 
 def run_length_encode(sorted_values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:  # hot-path
@@ -214,11 +262,6 @@ def run_length_encode(sorted_values: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     return sorted_values[starts], counts
 
 
-#: Bit position of the step tag in a :attr:`FlatSketch.keys` entry.
-_STEP_SHIFT = 32
-_VERTEX_MASK = (1 << _STEP_SHIFT) - 1
-
-
 class FlatSketch:
     """Array-native per-step occupation counts of one walk bundle.
 
@@ -233,21 +276,37 @@ class FlatSketch:
     :meth:`series` matches all T steps in one merge.  The sketch is
     built from its keys: one ``np.sort`` of the alive walks' step-tagged
     positions, one run-length encode, and the step offsets read off the
-    sorted keys.
+    sorted keys.  :meth:`from_keys` builds the same sketch from the
+    keys alone, as :meth:`WalkEngine.sketch` yields them.
     """
 
     __slots__ = ("T", "R", "vertices", "counts", "offsets", "keys")
 
     def __init__(self, walk_matrix: np.ndarray, R: Optional[int] = None) -> None:  # hot-path
         walk_matrix = np.asarray(walk_matrix, dtype=np.int64)
-        self.T = int(walk_matrix.shape[0])
-        bundle = int(walk_matrix.shape[1])
-        self.R = int(R) if R is not None else bundle
-        step_tags = np.arange(self.T + 1, dtype=np.int64) << _STEP_SHIFT
-        tagged = walk_matrix + step_tags[:-1, None]
-        self.keys, self.counts = run_length_encode(np.sort(tagged[walk_matrix >= 0]))
+        T = int(walk_matrix.shape[0])
+        step_tags = np.arange(T, dtype=np.int64) << STEP_SHIFT
+        tagged = walk_matrix + step_tags[:, None]
+        self._encode(
+            np.sort(tagged[walk_matrix >= 0]), T,
+            int(R) if R is not None else int(walk_matrix.shape[1]),
+        )
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, T: int, R: int) -> "FlatSketch":
+        """The sketch of a T-step bundle of R walks whose alive walks sit
+        at the step-tagged ``keys`` (``(t << 32) | vertex``, any order)."""
+        sketch = cls.__new__(cls)
+        sketch._encode(np.sort(keys), T, R)
+        return sketch
+
+    def _encode(self, sorted_keys: np.ndarray, T: int, R: int) -> None:
+        self.T, self.R = T, R
+        self.keys, self.counts = run_length_encode(sorted_keys)
         self.vertices = self.keys & _VERTEX_MASK
-        self.offsets = np.searchsorted(self.keys, step_tags)
+        self.offsets = np.searchsorted(
+            self.keys, np.arange(T + 1, dtype=np.int64) << STEP_SHIFT
+        )
 
     def row(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(vertices, counts)`` views for step t (sorted, distinct)."""
@@ -301,7 +360,7 @@ class FlatSketch:
         hits = mine.keys[matched]
         mass = diagonal[hits & _VERTEX_MASK] * mine.counts[matched] * theirs.counts[loc[matched]]
         steps = min(self.T, other.T)
-        terms = np.bincount(hits >> _STEP_SHIFT, weights=mass, minlength=steps)
+        terms = np.bincount(hits >> STEP_SHIFT, weights=mass, minlength=steps)
         terms *= c ** np.arange(steps) / (self.R * other.R)
         return float(terms.sum()), int(np.count_nonzero(terms > 0.0))
 
@@ -313,40 +372,41 @@ class FlatSketch:
         return float((diagonal[vertices] * (counts / self.R) ** 2).sum())
 
 
-@contract(positions="int64[W]", segments="int64[W]", sketch_vertices="int64",
-          sketch_counts="float64", diagonal="float64", returns="float64[1d]")  # no-alloc
-def segment_collisions(  # hot-path
-    positions: np.ndarray,
-    segments: np.ndarray,
-    sketch_vertices: np.ndarray,
+@contract(keys="int64[W]", cells="int64[W]", sketch_keys="int64[K]",
+          sketch_counts="float64[K]", diagonal="float64", returns="float64[1d]")  # no-alloc
+def tagged_collisions(  # hot-path
+    keys: np.ndarray,
+    cells: np.ndarray,
+    sketch_keys: np.ndarray,
     sketch_counts: np.ndarray,
     diagonal: np.ndarray,
-    n_segments: int,
+    n_cells: int,
 ) -> np.ndarray:
-    """Per-segment collision mass of one step's walks against a sketch row.
+    """Per-cell collision mass of a whole walk loop against a sketch.
 
-    ``segments[i]`` names the bundle that the walk at ``positions[i]``
-    belongs to; ``sketch_vertices``/``sketch_counts`` are one
-    :meth:`FlatSketch.row`.  Returns, per segment, ``Σ diagonal[w] ·
-    sketch_count[w]`` over the segment's walks that sit on a sketch
-    vertex w — dividing by ``R · sketch.R`` gives eq. (14)'s inner sum
-    for every bundle in one pass (the fused screen/refine reduction of
-    Algorithm 5).  A DEAD position matches no sketch vertex, so it adds
-    nothing.
+    ``keys[i]`` is the step-tagged position ``(t << 32) | w`` of a live
+    walk at step t, and ``cells[i]`` names the (bundle, step) cell it
+    adds to; ``sketch_keys``/``sketch_counts`` are a
+    :class:`FlatSketch`'s :attr:`~FlatSketch.keys` and
+    :attr:`~FlatSketch.counts`.  Returns, per cell, ``Σ diagonal[w] ·
+    sketch_count`` over the cell's walks that sit on a sketch vertex of
+    their own step — dividing by ``R · sketch.R`` gives eq. (14)'s inner
+    sum for every bundle and step in one ``searchsorted`` and one
+    ``np.bincount`` (the fused screen/refine reduction of Algorithm 5).
+    A cell's walks add in the order they appear in ``keys``.
     """
-    if segments.shape != positions.shape:
+    if cells.shape != keys.shape:
         raise ValueError(
-            f"segments shape {segments.shape} does not match "
-            f"positions shape {positions.shape}"
+            f"cells shape {cells.shape} does not match keys shape {keys.shape}"
         )
-    if sketch_vertices.size == 0:
-        return np.zeros(n_segments)
-    loc = np.minimum(np.searchsorted(sketch_vertices, positions), sketch_vertices.size - 1)
-    matched = sketch_vertices[loc] == positions
-    if not matched.any():
-        return np.zeros(n_segments)
-    contributions = diagonal[positions[matched]] * sketch_counts[loc[matched]]
-    return np.bincount(segments[matched], weights=contributions, minlength=n_segments)
+    if sketch_keys.size == 0:
+        return np.zeros(n_cells)
+    loc = np.minimum(np.searchsorted(sketch_keys, keys), sketch_keys.size - 1)
+    matched = sketch_keys[loc] == keys
+    if not matched.any():  # np.bincount of no weights would be int64
+        return np.zeros(n_cells)
+    contributions = diagonal[keys[matched] & _VERTEX_MASK] * sketch_counts[loc[matched]]
+    return np.bincount(cells[matched], weights=contributions, minlength=n_cells)
 
 
 @contract(positions="int64[W]", segments="int64[W]", diagonal="float64",
@@ -381,5 +441,4 @@ def sketch_from_walks(
     graph: CSRGraph, start: int, R: int, T: int, seed: SeedLike = None
 ) -> FlatSketch:
     """Convenience: run a bundle and sketch it in one call."""
-    engine = WalkEngine(graph, seed)
-    return FlatSketch(engine.walk_matrix(start, R, T))
+    return WalkEngine(graph, seed).sketch(start, R, T)

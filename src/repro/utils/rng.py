@@ -12,8 +12,11 @@ in the spirit of Salmon et al., "Parallel Random Numbers: As Easy as 1,
 :func:`stream_uniforms` reads value i of any stream, so the uniforms of
 one key are a pure function of ``(seed, salt, key)`` and a whole batch
 of per-vertex streams is a few numpy passes instead of one seeded
-generator per vertex.  :func:`keyed_uniforms` is the full
-``(rows, keys·width)`` block of the two.
+generator per vertex.  Value i of a stream sits at the SplitMix cursor
+``key + (i+1)·G`` (:func:`stream_cursors`); a walk loop carries one
+cursor per walk and reads it with :func:`cursor_uniforms`.
+:func:`keyed_uniforms` is the full ``(rows, keys·width)`` block of
+:func:`stream_keys` and :func:`stream_uniforms`.
 """
 
 from __future__ import annotations
@@ -140,19 +143,52 @@ def stream_keys(seed: int, salt: int, keys: "Sequence[int] | np.ndarray") -> np.
         return _mix(streams)
 
 
+def stream_cursors(streams: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """The SplitMix cursor ``key + (counter+1)·G`` of value ``counters[i]`` of
+    stream ``streams[i]`` (uint64, modulo 2^64; the two broadcast).
+
+    Value i + j of a stream sits at its cursor for i plus ``j·G``, so a
+    walk loop that draws value ``t·R + lane`` at step t carries one
+    cursor per walk and adds ``R·G`` per step
+    (:meth:`~repro.core.walks.WalkEngine.live_walks`).
+    """
+    with np.errstate(over="ignore"):
+        cursors = np.asarray(counters).astype(np.uint64)
+        cursors += _ONE
+        cursors *= _GOLDEN
+        return cursors + streams
+
+
+def cursor_stride(width: int) -> np.ndarray:
+    """``width·G`` as a 0-d uint64: the cursor step of ``width`` values."""
+    return np.array((width * int(_GOLDEN)) & _MASK64, dtype=np.uint64)
+
+
+def cursor_uniforms(cursors: np.ndarray) -> np.ndarray:
+    """The float64 in [0, 1) at each SplitMix cursor: ``mix(cursor) >> 11``
+    scaled by 2^-53.  ``cursors`` is left as it is."""
+    return _unit_floats(np.array(cursors, dtype=np.uint64))
+
+
 def stream_uniforms(streams: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Value ``counters[i]`` of stream ``streams[i]``, a float64 in [0, 1).
 
     Value i of a stream with key ``key`` is ``mix(key + (i+1)·G) >> 11``
-    scaled by 2^-53 (modulo 2^64).  ``streams`` (uint64, from
-    :func:`stream_keys`) and ``counters`` (non-negative ints) broadcast,
-    so a walk loop can draw one value for each walk it still carries.
+    scaled by 2^-53 (modulo 2^64): :func:`cursor_uniforms` at
+    :func:`stream_cursors`.  ``streams`` (uint64, from
+    :func:`stream_keys`) and ``counters`` (non-negative ints) broadcast.
     """
-    with np.errstate(over="ignore"):
-        values = np.asarray(counters).astype(np.uint64)
-        values += _ONE
-        values *= _GOLDEN
-        values = _mix(values + streams)
+    with np.errstate(over="ignore"):  # numpy scalar streams warn on wrap
+        return _unit_floats(stream_cursors(streams, counters))
+
+
+def _unit_floats(cursors: np.ndarray) -> np.ndarray:
+    """SplitMix64's output at ``cursors`` as floats in [0, 1); mixes in place.
+
+    uint64 array arithmetic wraps modulo 2^64 without a warning, so the
+    per-step draw of a walk loop needs no ``np.errstate``.
+    """
+    values = _mix(cursors)
     values >>= _FRACTION_SHIFT
     uniforms = values.view(np.int64).astype(np.float64)
     uniforms *= 2.0**-53

@@ -213,18 +213,18 @@ def test_estimate_batch_keyed_blocks_match_oracle(sanitized, monkeypatch):
     from repro.core.config import SimRankConfig
     from repro.core.montecarlo import SingleSourceEstimator
     from repro.graph.generators import cycle_graph
-    from repro.utils.rng import keyed_uniforms, stream_keys, stream_uniforms
+    from repro.utils.rng import cursor_uniforms, keyed_uniforms, stream_keys
 
     graph = cycle_graph(8)
     candidates = [1, 2, 5]
     seed, samples = 99, 12
     config = SimRankConfig(T=4, r_pair=samples)
 
-    drawn = []  # (stream, counter, value) of every fused draw
+    drawn = []  # (cursor, value) of every fused draw
 
-    def record_draws(streams, counters):
-        values = stream_uniforms(streams, counters)
-        drawn.extend(zip(streams.tolist(), counters.tolist(), values.tolist()))
+    def record_draws(cursors):
+        values = cursor_uniforms(cursors)
+        drawn.extend(zip(cursors.tolist(), values.tolist()))
         return values
 
     blocks = {}
@@ -236,7 +236,7 @@ def test_estimate_batch_keyed_blocks_match_oracle(sanitized, monkeypatch):
         return values
 
     with monkeypatch.context() as patch:
-        patch.setattr(walks, "stream_uniforms", record_draws)
+        patch.setattr(walks, "cursor_uniforms", record_draws)
         array_scores = SingleSourceEstimator(graph, 0, config, seed=seed).estimate_batch(
             candidates
         )
@@ -246,9 +246,23 @@ def test_estimate_batch_keyed_blocks_match_oracle(sanitized, monkeypatch):
 
     assert set(blocks) == {(seed, samples, v) for v in candidates}
     key_of = dict(zip(stream_keys(seed, samples, candidates).tolist(), candidates))
+    # A draw at cursor ``stream + (counter+1)·G`` (mod 2^64) is value
+    # ``counter`` of that stream; G is odd, so the counter is recoverable.
+    golden, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+    inverse = pow(golden, -1, 1 << 64)
+    span = (config.T - 1) * samples
+
+    def stream_and_counter(cursor):
+        found = [
+            (stream, ((cursor - stream) * inverse - 1) & mask) for stream in key_of
+        ]
+        (match,) = [(stream, counter) for stream, counter in found if counter < span]
+        return match
+
     # Every walk on the cycle stays alive, so each key draws its whole block.
-    assert len(drawn) == len(candidates) * (config.T - 1) * samples
-    for stream, counter, value in drawn:
+    assert len(drawn) == len(candidates) * span
+    for cursor, value in drawn:
+        stream, counter = stream_and_counter(cursor)
         step, lane = divmod(counter, samples)
         block = blocks[(seed, samples, key_of[stream])]
         assert block.shape == (config.T - 1, samples)

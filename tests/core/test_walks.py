@@ -93,6 +93,80 @@ class TestWalkMatrix:
         b = WalkEngine(social_graph, seed=6).walk_matrix(0, R=10, T=5)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("start", [0, 3, 17])
+    def test_sketch_equals_sketch_of_walk_matrix(self, web_graph, start):
+        """``WalkEngine.sketch`` builds from the live loop's keys the sketch
+        of the walk matrix the same seed gives, with the same draws."""
+        from repro.core.walks import FlatSketch
+
+        got = WalkEngine(web_graph, seed=8).sketch(start, R=25, T=6)
+        want = FlatSketch(WalkEngine(web_graph, seed=8).walk_matrix(start, R=25, T=6))
+        assert (got.T, got.R) == (want.T, want.R)
+        for name in ("keys", "vertices", "counts", "offsets"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+    def test_sketch_rejects_bad_bundle(self, small_cycle):
+        engine = WalkEngine(small_cycle, seed=0)
+        with pytest.raises(VertexError):
+            engine.sketch(99, R=5, T=5)
+        with pytest.raises(ValueError):
+            engine.sketch(0, R=5, T=0)
+
+
+class TestLazyGenerator:
+    """The engine's shared stream is built on first use only."""
+
+    @staticmethod
+    def count_generators(monkeypatch):
+        import repro.core.walks as walks
+        from repro.utils.rng import ensure_rng
+
+        made = []
+
+        def counting(seed):
+            made.append(seed)
+            return ensure_rng(seed)
+
+        monkeypatch.setattr(walks, "ensure_rng", counting)
+        return made
+
+    def test_keyed_loops_build_no_generator(self, social_graph, monkeypatch):
+        made = self.count_generators(monkeypatch)
+        engine = WalkEngine(social_graph, seed=3)
+        starts = np.array([0, 5], dtype=np.int64)
+        for _ in engine.live_walks(starts, 4, 5, stream_keys(1, 4, starts)):
+            pass
+        assert made == []
+        walks = engine.walk_matrix(0, R=10, T=5)
+        assert made == [3]
+        np.testing.assert_array_equal(walks, WalkEngine(social_graph, 3).walk_matrix(0, 10, 5))
+
+    def test_batch_scores_build_no_generator(self, social_graph, monkeypatch):
+        from repro.core.config import SimRankConfig
+        from repro.core.montecarlo import SingleSourceEstimator
+
+        config = SimRankConfig(T=5, r_pair=20)
+        sketch_u = SingleSourceEstimator(social_graph, 0, config, seed=9).sketch_u
+        made = self.count_generators(monkeypatch)
+        scores = SingleSourceEstimator(
+            social_graph, 0, config, seed=9, sketch_u=sketch_u
+        ).estimate_batch([1, 2, 3], R=10)
+        assert made == []
+        np.testing.assert_array_equal(
+            scores, SingleSourceEstimator(social_graph, 0, config, seed=9).estimate_batch(
+                [1, 2, 3], R=10
+            )
+        )
+
+    def test_generator_seed_is_the_stream(self, social_graph):
+        generator = np.random.default_rng(5)
+        assert WalkEngine(social_graph, generator).rng is generator
+
+    def test_none_seed_stays_fresh(self, social_graph):
+        a = WalkEngine(social_graph).walk_matrix(0, R=50, T=5)
+        b = WalkEngine(social_graph).walk_matrix(0, R=50, T=5)
+        assert not np.array_equal(a, b)
+
 
 class TestPositionSketch:
     """The per-step position sketch, :class:`FlatSketch`."""
@@ -272,21 +346,27 @@ class TestFlatKernels:
         if bundle in ("path", "all_dead_middle"):
             assert np.any(np.diff(sketch.offsets) == 0)  # an empty step is covered
 
-    def test_segment_collisions_matches_flat_sketch(self, social_graph):
-        from repro.core.walks import FlatSketch, WalkEngine, segment_collisions
+    def test_tagged_collisions_matches_flat_sketch(self, social_graph):
+        from repro.core.walks import STEP_SHIFT, FlatSketch, WalkEngine, tagged_collisions
 
         engine = WalkEngine(social_graph, seed=21)
         R, T = 9, 4
         u_sketch = FlatSketch(engine.walk_matrix(1, 30, T))
         bundles = [engine.walk_matrix(v, R, T) for v in (2, 5, 7)]
         diagonal = np.full(social_graph.n, 0.4)
-        segments = np.repeat(np.arange(3, dtype=np.int64), R)
+        # The whole loop at once: every live walk's step-tagged key, in
+        # the (step, bundle) cell t·3 + i.
+        steps, slots = np.nonzero(np.concatenate(bundles, axis=1) >= 0)
+        positions = np.concatenate(bundles, axis=1)[steps, slots]
+        keys = (steps.astype(np.int64) << STEP_SHIFT) | positions
+        cells = steps.astype(np.int64) * 3 + slots // R
+        mass = tagged_collisions(
+            keys, cells, u_sketch.keys, u_sketch.counts, diagonal, T * 3
+        ).reshape(T, 3)
         for t in range(T):
-            positions = np.concatenate([b[t] for b in bundles])  # DEAD slots included
-            seg = segment_collisions(positions, segments, *u_sketch.row(t), diagonal, 3)
             for i, bundle in enumerate(bundles):
                 expected = FlatSketch(bundle).collision_value(u_sketch, t, diagonal)
-                assert seg[i] / (R * u_sketch.R) == pytest.approx(expected, abs=1e-15)
+                assert mass[t, i] / (R * u_sketch.R) == pytest.approx(expected, abs=1e-15)
         # series() is the c-weighted sum of the same per-step values, over
         # the steps both sketches have.
         for bundle in bundles:
@@ -299,11 +379,11 @@ class TestFlatKernels:
                 assert value == pytest.approx(sum(terms), abs=1e-15)
                 assert meetings == sum(term > 0.0 for term in terms)
 
-    def test_segment_collisions_rejects_bad_layout(self):
-        from repro.core.walks import segment_collisions
+    def test_tagged_collisions_rejects_bad_layout(self):
+        from repro.core.walks import tagged_collisions
 
         with pytest.raises((ValueError, ContractViolationError)):
-            segment_collisions(
+            tagged_collisions(
                 np.zeros(5, dtype=np.int64),
                 np.zeros(6, dtype=np.int64),
                 np.zeros(1, dtype=np.int64),

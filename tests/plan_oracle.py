@@ -12,13 +12,17 @@ the array code stays checkable against them:
   H's candidates, the fallback ball from its own BFS, and the extras;
 - :func:`reference_plan` — the plan from a full BFS to ``d_max``: every
   candidate labelled, β from full labels, and no early exit on B*;
-- :func:`assert_plan_preserves` — what a plan must keep of that one.
+- :func:`assert_plan_preserves` — what a plan must keep of that one;
+- :func:`reference_scan` — the scan that scores shell by shell, one
+  screen and one refine call per shell, as the one-pass
+  :func:`~repro.core.query.scan` replays it.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from repro.core.bounds import compute_alpha_beta, trivial_bound
 from repro.core.config import SimRankConfig
 from repro.core.index import CandidateIndex
 from repro.core.montecarlo import SingleSourceEstimator
-from repro.core.query import QueryPlan
+from repro.core.query import QueryPlan, QueryStats, Scores, TopKResult
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import UNREACHABLE, bfs_distances, distance_ball
 from repro.utils.rng import SeedLike, derive_seed
@@ -37,6 +41,7 @@ __all__ = [
     "reference_beta",
     "reference_candidates",
     "reference_plan",
+    "reference_scan",
 ]
 
 
@@ -180,3 +185,66 @@ def assert_plan_preserves(plan, reference):
     np.testing.assert_array_equal(plan.bounds, reference.bounds)
     assert sorted(plan.candidates[end:].tolist()) == sorted(reference.candidates[end:].tolist())
     return False
+
+
+def reference_scan(plan: QueryPlan, k: Optional[int], scores: Scores) -> TopKResult:
+    """Algorithm 5's shell-batched scan, scoring each shell as it reaches it.
+
+    Each shell's survivors are screened with one call of ``scores`` at
+    ``r_screen`` and its promoted candidates refined with one at
+    ``r_pair``, under the cutoff frozen at the shell boundary.
+    ``walks_simulated`` counts the plan's walks and those behind every
+    estimate it asked for.
+    """
+    config = plan.config
+    stats = QueryStats(candidates=len(plan), fallback_used=plan.fallback_used)
+    stats.walks_simulated = plan.walks
+    result = TopKResult(u=plan.u, k=plan.k, stats=stats)
+    if not len(plan):
+        return result
+
+    def estimate(vertices: np.ndarray, R: int) -> np.ndarray:
+        stats.walks_simulated += R * int(vertices.size)
+        return scores(vertices, R)
+
+    heap: List[Tuple[float, int]] = []
+
+    def cutoff() -> float:
+        full = k is not None and len(heap) >= k
+        return max(config.theta, heap[0][0] if full else 0.0)
+
+    edges = (np.flatnonzero(np.diff(plan.distances)) + 1).tolist() if k is not None else []
+    for start, end in zip([0, *edges], [*edges, len(plan)]):
+        d = int(plan.distances[start])
+        if plan.beta is not None and float(plan.beta[d:].max()) < cutoff():
+            stats.stopped_early_at_distance = d
+            stats.skipped_by_termination = len(plan) - start
+            break
+        shell = plan.candidates[start:end]
+        cut = cutoff()
+        survivors = shell[plan.bounds[start:end] >= cut]
+        stats.pruned_by_bound += int(shell.size - survivors.size)
+        if survivors.size == 0:
+            continue
+        if plan.adaptive:
+            values = estimate(survivors, config.r_screen)
+            stats.screened += int(survivors.size)
+            promote = values >= cut * config.screen_slack
+            if promote.any():
+                values = values.copy()
+                values[promote] = estimate(survivors[promote], config.r_pair)
+                stats.refined += int(np.count_nonzero(promote))
+        else:
+            values = estimate(survivors, config.r_pair)
+            stats.refined += int(survivors.size)
+        for v, score in zip(survivors.tolist(), values.tolist()):
+            if score >= config.theta:
+                if k is None or len(heap) < k:
+                    heapq.heappush(heap, (score, v))
+                elif score > heap[0][0]:
+                    heapq.heapreplace(heap, (score, v))
+
+    result.items = sorted(
+        ((vertex, score) for score, vertex in heap), key=lambda it: (-it[1], it[0])
+    )
+    return result

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.utils.rng import keyed_uniforms, root_seed, stream_keys, stream_uniforms
+from repro.utils.rng import (
+    cursor_uniforms,
+    keyed_uniforms,
+    root_seed,
+    stream_keys,
+    stream_uniforms,
+)
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
@@ -162,12 +168,12 @@ class TestFreshEntropy:
         config = SimRankConfig(T=5, r_pair=20)
         draws = []
 
-        def draw(streams, counters):
-            values = stream_uniforms(streams, counters)
+        def draw(cursors):
+            values = cursor_uniforms(cursors)
             draws[-1].append(values)
             return values
 
-        monkeypatch.setattr(walks, "stream_uniforms", draw)
+        monkeypatch.setattr(walks, "cursor_uniforms", draw)
         for _ in range(2):
             draws.append([])
             estimator = montecarlo.SingleSourceEstimator(graph, 0, config, seed=None)

@@ -414,8 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
                          default="reject-new")
     p_serve.add_argument("--max-batch", type=int, default=16,
                          help="top-k requests grouped per micro-batch")
-    p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="how long the batcher lingers to fill a batch")
+    p_serve.add_argument("--batch-window-ms", type=float, default=0.5,
+                         help="how long the batcher lingers to fill a batch "
+                              "(the loop times it in whole ms, so 0.5 lingers "
+                              "one 1 ms tick; 0 = dispatch each read at once)")
     p_serve.add_argument("--serve-workers", type=int, default=4,
                          help="executor threads answering queries")
     p_serve.add_argument("--shards", type=int, default=0,

@@ -148,10 +148,12 @@ class AdmissionQueue:
         """Next micro-batch: at least one ticket, at most ``max_items``.
 
         Blocks until the queue is non-empty (or closed — then returns
-        whatever is left, possibly ``[]``).  With a positive ``window``
-        and spare batch room, lingers once to let concurrent arrivals
-        join the batch; this is the latency/throughput trade the
-        batching knobs control.
+        whatever is left, possibly ``[]``).  A ``window`` of 0 returns
+        at once with whatever is queued.  A positive ``window`` with
+        spare batch room lingers once (the event loop rounds the wait up
+        to whole milliseconds), so concurrent arrivals join the batch
+        and share its snapshot; the linger shares no work, so it only
+        adds to their latency.
         """
         await self._nonempty.wait()
         batch: List[Ticket] = []

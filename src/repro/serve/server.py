@@ -70,7 +70,12 @@ class ServeConfig:
     queue_capacity: int = 256
     shed_policy: str = "reject-new"
     max_batch: int = 16
-    batch_window: float = 0.002  # seconds the batcher lingers to fill a batch
+    # Seconds the batcher lingers to fill a batch.  The event loop times
+    # waits in whole milliseconds, so 0.5 ms lingers one 1 ms tick; 0
+    # dispatches each admitted read at once (a batch shares only its
+    # snapshot, no work) but leaves closed-loop throughput to the host's
+    # thread scheduling.
+    batch_window: float = 0.0005
     workers: int = 4  # executor threads answering queries
     cache_capacity: Optional[int] = 1024  # per-snapshot LRU; None/0 = no cache
     default_timeout: Optional[float] = None  # per-request deadline (seconds)
@@ -199,20 +204,24 @@ class SimRankServer:
         with any otherwise-valid ServeConfig: a ``max_batch`` of 512 is
         legal statically but the controller's grid tops out at the
         TunableSpec maximum, so it starts from the nearest grid point.
+        ``batch_window`` is registered only when the static config
+        lingers at all: clamping a window of 0 would raise it to the
+        grid's minimum and make every take sleep.
         """
         from repro.core.config import TUNABLES
 
         engine_config = self.handle.current().engine.config
         knobs = {
             "max_batch": TUNABLES["max_batch"].clamp(self.config.max_batch),
-            "batch_window": TUNABLES["batch_window"].clamp(
-                self.config.batch_window
-            ),
             "r_pair": TUNABLES["r_pair"].clamp(engine_config.r_pair),
             "screen_slack": TUNABLES["screen_slack"].clamp(
                 engine_config.screen_slack
             ),
         }
+        if self.config.batch_window > 0:
+            knobs["batch_window"] = TUNABLES["batch_window"].clamp(
+                self.config.batch_window
+            )
         if self.dynamic is not None and self.config.flush_pipeline:
             knobs["flush_max_staleness"] = TUNABLES["flush_max_staleness"].clamp(
                 self.config.flush_max_staleness

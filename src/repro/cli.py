@@ -203,7 +203,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.serve_workers,
         cache_capacity=args.cache_capacity if args.cache_capacity > 0 else None,
         shards=args.shards,
-        flush_pipeline=args.flush_pipeline,
         flush_max_staleness=args.flush_max_staleness,
         flush_max_pending=args.flush_max_pending,
         autotune=args.autotune,
@@ -425,13 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "(0 = single-process backend)")
     p_serve.add_argument("--cache-capacity", type=int, default=1024,
                          help="per-snapshot LRU result cache size (0 disables)")
+    # Accepted and ignored, so older command lines still parse: every
+    # dynamic server flushes through the pipeline (docs/dynamic.md).
     p_serve.add_argument("--flush-pipeline", action="store_true",
-                         help="absorb staged edge edits on a background "
-                              "flusher thread instead of per-request flushes "
-                              "(docs/dynamic.md)")
+                         help=argparse.SUPPRESS)
     p_serve.add_argument("--flush-max-staleness", type=float, default=0.2,
                          help="seconds a staged edit may wait before the "
-                              "pipeline flushes")
+                              "background flusher applies it")
     p_serve.add_argument("--flush-max-pending", type=int, default=1024,
                          help="staged edits that force a flush and throttle "
                               "writers")

@@ -29,7 +29,8 @@ never m):
    delta CSR merge, blast-radius expansion, index row repair — **off
    the lock**, and publishes the new engine in a second short critical
    section (double-buffered publish: writers keep staging into the
-   fresh overlay the whole time);
+   fresh overlay the whole time); a flush that fails folds the inflight
+   buffer back into the staged overlay, so no acknowledged edit is lost;
 3. repair seeds reproduce the full-preprocess chain
    (``derive_seed(seed, 7)`` → signatures ``…,1`` / γ ``…,2``), so an
    incremental flush lands on exactly the bits
@@ -358,11 +359,73 @@ class DynamicSimRankEngine:
             self._inflight_removes = self._staged_removes
             self._staged_adds = {}
             self._staged_removes = {}
+            staged_since = self._staged_since
             self._staged_since = None
             base_engine = self._engine
             epoch = self._flush_epoch + 1
+        try:
+            engine, stats = self._rebuild(base_engine, epoch)
+        except BaseException:
+            # The promoted edits were acknowledged to their writers: hand
+            # them back to the staged overlay so the next flush applies them.
+            with self._state_lock:
+                self._unpromote_locked(staged_since)
+            raise
 
-        # ---- heavy section: no locks held -------------------------------
+        # ---- publish ----------------------------------------------------
+        with self._state_lock:
+            self._engine = engine
+            self._flush_epoch = epoch
+            self._inflight_adds = {}
+            self._inflight_removes = {}
+            self._published_at = time.perf_counter()
+            stats.elapsed_seconds = time.perf_counter() - start
+            self.last_flush = stats
+            queue_depth = self._pending_locked()
+        obs.record_flush(
+            edits_applied=stats.edits_applied,
+            vertices_affected=stats.vertices_affected,
+            repair_seconds=stats.repair_seconds,
+            queue_depth=queue_depth,
+        )
+        obs.set_dynamic_snapshot_age(0.0)
+        # Listeners run outside the critical section: EngineHandle.swap
+        # takes its own lock, and a slow listener must not extend the
+        # window during which edit staging and health reads block.
+        for listener in list(self._flush_listeners):
+            listener(engine, stats)
+        return stats
+
+    def _unpromote_locked(self, staged_since: Optional[float]) -> None:
+        """Fold the inflight overlay back under the staged one.
+
+        Edits staged since the promotion take precedence: a staged
+        remove of an inflight add (or a staged add of an inflight
+        remove) cancels it, exactly as if both had been staged together.
+        """
+        for source, inflight, opposite in (
+            (self._staged_adds, self._inflight_adds, self._staged_removes),
+            (self._staged_removes, self._inflight_removes, self._staged_adds),
+        ):
+            for u, targets in inflight.items():
+                cancelled = opposite.get(u, _EMPTY) & targets
+                if cancelled:
+                    opposite[u] -= cancelled
+                    if not opposite[u]:
+                        del opposite[u]
+                kept = targets - cancelled
+                if kept:
+                    source.setdefault(u, set()).update(kept)
+        self._inflight_adds = {}
+        self._inflight_removes = {}
+        self._staged_since = (
+            staged_since if self._staged_adds or self._staged_removes else None
+        )
+
+    def _rebuild(
+        self, base_engine: SimRankEngine, epoch: int
+    ) -> Tuple[SimRankEngine, FlushStats]:
+        """Apply the inflight overlay to ``base_engine`` off the state lock."""
         # The inflight dicts are only ever written by this (serialised)
         # flush path; concurrent readers see a frozen overlay.
         adds = [
@@ -406,30 +469,7 @@ class DynamicSimRankEngine:
             removes=removes,
             affected=ordered,
         )
-
-        # ---- publish ----------------------------------------------------
-        with self._state_lock:
-            self._engine = engine
-            self._flush_epoch = epoch
-            self._inflight_adds = {}
-            self._inflight_removes = {}
-            self._published_at = time.perf_counter()
-            stats.elapsed_seconds = time.perf_counter() - start
-            self.last_flush = stats
-            queue_depth = self._pending_locked()
-        obs.record_flush(
-            edits_applied=stats.edits_applied,
-            vertices_affected=stats.vertices_affected,
-            repair_seconds=stats.repair_seconds,
-            queue_depth=queue_depth,
-        )
-        obs.set_dynamic_snapshot_age(0.0)
-        # Listeners run outside the critical section: EngineHandle.swap
-        # takes its own lock, and a slow listener must not extend the
-        # window during which edit staging and health reads block.
-        for listener in list(self._flush_listeners):
-            listener(engine, stats)
-        return stats
+        return engine, stats
 
     def _patch_engine(
         self,
@@ -536,8 +576,10 @@ class FlushPipeline:
     :data:`repro.core.config.TUNABLES` as ``flush_max_staleness`` /
     ``flush_max_pending``); :meth:`apply` is the
     :class:`~repro.serve.tunables.TunableSet` listener target.  A flush
-    that raises keeps the thread alive (the error is stored in
-    :attr:`last_error` and re-raised by :meth:`stop`).
+    that raises keeps the thread alive: its edits stay staged and are
+    retried, and the error is stored in :attr:`last_error` and
+    re-raised by :meth:`stop`.  An idle flusher (nothing staged) sleeps
+    until the next edit.
     """
 
     def __init__(
@@ -628,24 +670,29 @@ class FlushPipeline:
         self._wake.set()
 
     def _run(self) -> None:
-        while not self._stopping.is_set():
-            # Sleep until an edit arrives or a fraction of the staleness
-            # budget elapses; cheap wakeups, no busy spin.
-            self._wake.wait(timeout=max(0.001, self.max_staleness / 4.0))
+        while True:
+            # Cleared before the reads, so an edit (or stop()) that lands
+            # after them sets the event again and the wait returns at once.
             self._wake.clear()
             if self._stopping.is_set():
                 break
             pending = self._dynamic.pending_edits
             if pending == 0:
+                # Idle: no timed wakeups until an edit, a knob or stop().
+                self._wake.wait()
                 continue
             age = self._dynamic.staged_age_seconds
             if pending < self.max_pending and age < self.max_staleness:
+                # Re-check a fraction of the staleness budget later.
+                self._wake.wait(timeout=max(0.001, self.max_staleness / 4.0))
                 continue
             try:
                 self._dynamic.flush()
                 self.flush_count += 1
             except BaseException as exc:  # noqa: BLE001 - surfaced via stop()
                 self.last_error = exc
+                # The edits stay staged; pace the retries.
+                self._stopping.wait(max(0.001, self.max_staleness / 4.0))
             finally:
                 self._flushed.set()
 

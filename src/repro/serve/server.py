@@ -13,16 +13,15 @@ Data plane: ``top_k`` / ``pair`` requests pass the bounded
 :class:`~repro.serve.lifecycle.EngineSnapshot` per batch.
 
 Control plane: ``update`` stages edge edits on the attached
-:class:`~repro.core.dynamic.DynamicSimRankEngine`, ``flush`` applies
-them on the executor (queries keep flowing on the old snapshot) and the
-flush listener publishes the rebuilt engine atomically — the
-zero-downtime index swap.  With ``flush_pipeline=True`` a
-:class:`~repro.core.dynamic.FlushPipeline` absorbs staged edits on a
-dedicated thread instead (bounded by ``flush_max_staleness`` /
-``flush_max_pending``), and ``update`` applies backpressure through
-:meth:`~repro.core.dynamic.FlushPipeline.throttle` — the
-production-rate write path.  ``healthz`` / ``metrics`` / ``shutdown``
-round out operations.
+:class:`~repro.core.dynamic.DynamicSimRankEngine`; the server's
+:class:`~repro.core.dynamic.FlushPipeline` applies them on its own
+thread within ``flush_max_staleness`` (queries keep flowing on the old
+snapshot) and the flush listener publishes the rebuilt engine
+atomically — the zero-downtime index swap.  Past ``flush_max_pending``
+staged edits, ``update`` waits in
+:meth:`~repro.core.dynamic.FlushPipeline.throttle` (backpressure).
+``flush`` applies whatever is staged at once; ``healthz`` / ``metrics``
+/ ``shutdown`` round out operations.
 
 The server installs its own metrics registry
 (:func:`repro.obs.instrument.push_registry`) for its lifetime, so
@@ -80,8 +79,7 @@ class ServeConfig:
     cache_capacity: Optional[int] = 1024  # per-snapshot LRU; None/0 = no cache
     default_timeout: Optional[float] = None  # per-request deadline (seconds)
     shards: int = 0  # >0 = route queries to that many worker processes
-    flush_pipeline: bool = False  # background flusher absorbs staged edits off-path
-    flush_max_staleness: float = 0.2  # seconds staged edits may wait (pipeline mode)
+    flush_max_staleness: float = 0.2  # seconds staged edits may wait
     flush_max_pending: int = 1024  # staged edits forcing a flush + write throttle
     autotune: bool = False  # run the repro.control feedback controller
     control_interval: float = 1.0  # seconds between controller ticks
@@ -129,9 +127,10 @@ class ServeConfig:
 class SimRankServer:
     """Serve top-k SimRank queries over one engine with live index swaps.
 
-    ``engine`` may be a :class:`DynamicSimRankEngine` (updates + flush
-    swaps available) or a plain preprocessed :class:`SimRankEngine`
-    (read-only serving; ``update``/``flush`` answer ``unsupported``).
+    ``engine`` may be a :class:`DynamicSimRankEngine` (updates applied
+    by a background :class:`FlushPipeline`, plus explicit ``flush``) or
+    a plain preprocessed :class:`SimRankEngine` (read-only serving;
+    ``update``/``flush`` answer ``unsupported``).
     """
 
     def __init__(
@@ -170,8 +169,14 @@ class SimRankServer:
         self.port: Optional[int] = None
         self.queue: Optional[AdmissionQueue] = None
         self.batcher: Optional[MicroBatcher] = None
-        # The off-path write pipeline (flush_pipeline=True + dynamic engine).
+        # The write path of a dynamic server, started with it.
         self.pipeline: Optional[FlushPipeline] = None
+        if self.dynamic is not None:
+            self.pipeline = FlushPipeline(
+                self.dynamic,
+                max_staleness=self.config.flush_max_staleness,
+                max_pending=self.config.flush_max_pending,
+            )
         self._flush_error: Optional[str] = None
         # The live-tunable store + controller only exist under
         # --autotune; without it the batcher runs on the static config
@@ -188,7 +193,6 @@ class SimRankServer:
         self._batcher_task: Optional[asyncio.Task] = None
         self._stopped: Optional[asyncio.Event] = None
         self._stopping = False
-        self._mutate_lock: Optional[asyncio.Lock] = None
         self._obs_was_enabled = False
         self._conn_tasks: Set["asyncio.Task[None]"] = set()
         self._writers: Set[asyncio.StreamWriter] = set()
@@ -222,7 +226,7 @@ class SimRankServer:
             knobs["batch_window"] = TUNABLES["batch_window"].clamp(
                 self.config.batch_window
             )
-        if self.dynamic is not None and self.config.flush_pipeline:
+        if self.dynamic is not None:
             knobs["flush_max_staleness"] = TUNABLES["flush_max_staleness"].clamp(
                 self.config.flush_max_staleness
             )
@@ -244,10 +248,9 @@ class SimRankServer:
         spec = self.tunables.spec(name)
         typed: Union[int, float] = int(round(value)) if spec.integer else value
         if spec.scope == "flush":
-            # Re-times the flusher thread immediately; a knob change
-            # before start() (or after stop()) just has nowhere to land.
-            if self.pipeline is not None:
-                self.pipeline.apply(name, typed)
+            # Re-times the flusher thread immediately.
+            assert self.pipeline is not None
+            self.pipeline.apply(name, typed)
             return
         if spec.scope != "engine":
             return
@@ -295,12 +298,8 @@ class SimRankServer:
             tunables=self.tunables,
         )
         self._batcher_task = asyncio.ensure_future(self.batcher.run())
-        if self.dynamic is not None and self.config.flush_pipeline:
-            self.pipeline = FlushPipeline(
-                self.dynamic,
-                max_staleness=self.config.flush_max_staleness,
-                max_pending=self.config.flush_max_pending,
-            ).start()
+        if self.pipeline is not None:
+            self.pipeline.start()
         if self.config.autotune:
             # Imported lazily: the control package is only needed when
             # the feedback loop is actually on.
@@ -317,7 +316,6 @@ class SimRankServer:
             )
             self._controller_task = asyncio.ensure_future(self._control_loop())
         self._stopped = asyncio.Event()
-        self._mutate_lock = asyncio.Lock()
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.config.host, port=self.config.port
         )
@@ -381,7 +379,6 @@ class SimRankServer:
                 await asyncio.to_thread(self.pipeline.stop)
             except Exception as exc:  # noqa: BLE001 - shutdown must finish
                 self._flush_error = f"{type(exc).__name__}: {exc}"
-            self.pipeline = None
         self.handle.close()
         obs.pop_registry(self.registry)
         if not self._obs_was_enabled:
@@ -508,18 +505,17 @@ class SimRankServer:
         remove = message.get("remove", [])
         if not isinstance(add, list) or not isinstance(remove, list):
             raise ProtocolError("update 'add'/'remove' must be lists of [u, v] pairs")
-        assert self._mutate_lock is not None
-        async with self._mutate_lock:
-            added = sum(bool(self.dynamic.add_edge(int(u), int(v))) for u, v in add)
-            removed = sum(
-                bool(self.dynamic.remove_edge(int(u), int(v))) for u, v in remove
-            )
-            pending = self.dynamic.pending_edits
+        added = sum(bool(self.dynamic.add_edge(int(u), int(v))) for u, v in add)
+        removed = sum(
+            bool(self.dynamic.remove_edge(int(u), int(v))) for u, v in remove
+        )
+        pending = self.dynamic.pending_edits
         pipeline = self.pipeline
-        if pipeline is not None and pending > pipeline.max_pending:
-            # Backpressure: block this writer (off the event loop and off
-            # the mutate lock — other sessions keep staging and querying)
-            # until the flusher drains the backlog below max_pending.
+        assert pipeline is not None
+        if pending > pipeline.max_pending:
+            # Backpressure: block this writer (off the event loop — other
+            # sessions keep staging and querying) until the flusher
+            # drains the backlog below max_pending.
             await asyncio.to_thread(pipeline.throttle, 30.0)
             pending = self.dynamic.pending_edits
         return protocol.ok("update", added=added, removed=removed, pending=pending)
@@ -532,12 +528,12 @@ class SimRankServer:
                 "server wraps a static engine; nothing to flush",
             )
         loop = asyncio.get_running_loop()
-        assert self._mutate_lock is not None and self._executor is not None
-        async with self._mutate_lock:
-            # The rebuild runs on the executor so queries keep being
-            # answered (on the outgoing snapshot) while it happens; the
-            # flush listener publishes the new snapshot atomically.
-            stats = await loop.run_in_executor(self._executor, self.dynamic.flush)
+        assert self._executor is not None
+        # The rebuild runs on the executor so queries keep being answered
+        # (on the outgoing snapshot) while it happens; the engine queues
+        # it behind a running background flush, and the flush listener
+        # publishes the new snapshot atomically.
+        stats = await loop.run_in_executor(self._executor, self.dynamic.flush)
         return protocol.ok(
             "flush",
             edits_applied=stats.edits_applied,
@@ -568,23 +564,21 @@ class SimRankServer:
                 latency.quantile(0.95) * 1000.0 if latency is not None else 0.0
             ),
         }
-        if self.dynamic is not None:
+        if self.dynamic is not None and self.pipeline is not None:
             age = self.dynamic.snapshot_age_seconds
             flush: protocol.Message = {
                 "epoch": self.dynamic.flush_epoch,
                 "snapshot_age_seconds": age,
                 "staged_age_seconds": self.dynamic.staged_age_seconds,
-                "pipeline": self.pipeline is not None,
+                "flush_count": self.pipeline.flush_count,
+                "max_staleness": self.pipeline.max_staleness,
+                "max_pending": self.pipeline.max_pending,
             }
-            if self.pipeline is not None:
-                flush["flush_count"] = self.pipeline.flush_count
-                flush["max_staleness"] = self.pipeline.max_staleness
-                flush["max_pending"] = self.pipeline.max_pending
-                if self.pipeline.last_error is not None:
-                    flush["last_error"] = (
-                        f"{type(self.pipeline.last_error).__name__}: "
-                        f"{self.pipeline.last_error}"
-                    )
+            if self.pipeline.last_error is not None:
+                flush["last_error"] = (
+                    f"{type(self.pipeline.last_error).__name__}: "
+                    f"{self.pipeline.last_error}"
+                )
             if self._flush_error is not None:
                 flush["last_error"] = self._flush_error
             payload["flush"] = flush

@@ -427,3 +427,81 @@ class TestFlushPipeline:
                 FlushPipeline(dynamic).start()
         finally:
             first.stop()
+
+
+class TestFailedFlushKeepsEdits:
+    """A flush that raises hands its acknowledged edits back to staging."""
+
+    @staticmethod
+    def fail_once(dynamic, monkeypatch, during=None):
+        real = dynamic._patch_engine
+        calls = []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                if during is not None:
+                    during()
+                raise RuntimeError("repair exploded")
+            return real(*args)
+
+        monkeypatch.setattr(dynamic, "_patch_engine", flaky)
+
+    def test_retry_applies_the_failed_edit(self, dyn_config, monkeypatch):
+        dynamic = DynamicSimRankEngine(cycle_graph(40), dyn_config, seed=1)
+        self.fail_once(dynamic, monkeypatch)
+        assert dynamic.add_edge(0, 5) is True
+        with pytest.raises(RuntimeError, match="repair exploded"):
+            dynamic.flush()
+        assert dynamic.pending_edits == 1
+        assert dynamic.flush_epoch == 0
+        assert dynamic.staged_age_seconds > 0
+        assert dynamic.flush().edits_applied == 1
+        assert dynamic.pending_edits == 0
+        assert 5 in dynamic.graph.out_neighbors(0)
+        assert dynamic.add_edge(0, 5) is False
+
+    def test_later_edits_join_the_retry(self, dyn_config, monkeypatch):
+        dynamic = DynamicSimRankEngine(cycle_graph(40), dyn_config, seed=1)
+        self.fail_once(dynamic, monkeypatch)
+        dynamic.add_edge(0, 5)
+        with pytest.raises(RuntimeError):
+            dynamic.flush()
+        dynamic.add_edge(1, 7)
+        assert dynamic.flush().edits_applied == 2
+        assert dynamic.pending_edits == 0
+        assert 5 in dynamic.graph.out_neighbors(0)
+        assert 7 in dynamic.graph.out_neighbors(1)
+        assert dynamic.add_edge(0, 5) is False
+
+    def test_edit_staged_during_the_failure_cancels(self, dyn_config, monkeypatch):
+        dynamic = DynamicSimRankEngine(cycle_graph(40), dyn_config, seed=1)
+        # The inflight add (0, 5) is visible, so removing it stages a remove.
+        self.fail_once(
+            dynamic, monkeypatch, during=lambda: dynamic.remove_edge(0, 5)
+        )
+        dynamic.add_edge(0, 5)
+        with pytest.raises(RuntimeError):
+            dynamic.flush()
+        assert dynamic.pending_edits == 0
+        assert dynamic.staged_age_seconds == 0.0
+        assert dynamic.flush().edits_applied == 0
+        assert 5 not in dynamic.graph.out_neighbors(0)
+        assert dynamic.add_edge(0, 5) is True
+
+    def test_pipeline_publishes_after_a_failed_flush(self, dyn_config, monkeypatch):
+        from repro.core.dynamic import FlushPipeline
+
+        dynamic = DynamicSimRankEngine(cycle_graph(40), dyn_config, seed=1)
+        self.fail_once(dynamic, monkeypatch)
+        pipeline = FlushPipeline(dynamic, max_staleness=0.02, max_pending=10_000)
+        pipeline.start()
+        dynamic.add_edge(0, 5)
+        deadline = time.time() + 5.0
+        while dynamic.flush_epoch == 0 and time.time() < deadline:
+            time.sleep(0.01)
+        assert dynamic.flush_epoch == 1
+        assert dynamic.pending_edits == 0
+        assert 5 in dynamic.graph.out_neighbors(0)
+        with pytest.raises(RuntimeError, match="repair exploded"):
+            pipeline.stop()

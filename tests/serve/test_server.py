@@ -112,7 +112,9 @@ class TestControlPlane:
                 client.flush()
 
     def test_update_then_flush_bumps_epoch(self, run_server, dynamic_engine):
-        _, port = run_server(dynamic_engine)
+        # A staleness budget the test never reaches: the explicit flush,
+        # not the background flusher, applies the staged edits.
+        _, port = run_server(dynamic_engine, flush_max_staleness=60.0)
         with ServeClient("127.0.0.1", port) as client:
             assert client.top_k(3).epoch == 0
             staged = client.update(add=[(0, 100), (100, 0)])
@@ -145,7 +147,10 @@ class TestSnapshotSwap:
         self, run_server, serve_graph, serve_simrank_config
     ):
         dynamic = DynamicSimRankEngine(serve_graph, serve_simrank_config, seed=4)
-        _, port = run_server(dynamic, workers=4, max_batch=8, batch_window=0.001)
+        _, port = run_server(
+            dynamic, workers=4, max_batch=8, batch_window=0.001,
+            flush_max_staleness=60.0,  # the explicit flush applies the edits
+        )
 
         warmed_up = threading.Barrier(4)  # 3 clients + main
         flush_done = threading.Event()
@@ -364,12 +369,10 @@ class TestShutdown:
 
 
 class TestFlushPipelineServing:
-    """``flush_pipeline=True``: staged edits land without an explicit flush."""
+    """Every dynamic server flushes staged edits without an explicit flush."""
 
     def test_updates_flushed_in_background(self, run_server, dynamic_engine):
-        _, port = run_server(
-            dynamic_engine, flush_pipeline=True, flush_max_staleness=0.05
-        )
+        _, port = run_server(dynamic_engine, flush_max_staleness=0.05)
         with ServeClient("127.0.0.1", port) as client:
             staged = client.update(add=[(0, 100), (100, 0)])
             assert staged["added"] == 2
@@ -391,13 +394,11 @@ class TestFlushPipelineServing:
     def test_healthz_reports_pipeline_state(self, run_server, dynamic_engine):
         server, port = run_server(
             dynamic_engine,
-            flush_pipeline=True,
             flush_max_staleness=5.0,  # too slow to fire during the test
             flush_max_pending=7,
         )
         with ServeClient("127.0.0.1", port) as client:
             flush = client.healthz()["flush"]
-        assert flush["pipeline"] is True
         assert flush["epoch"] == 0
         assert flush["flush_count"] == 0
         assert flush["max_staleness"] == 5.0
@@ -405,17 +406,43 @@ class TestFlushPipelineServing:
         assert "last_error" not in flush
         assert server.pipeline is not None
 
-    def test_pipeline_off_by_default(self, run_server, dynamic_engine):
-        server, port = run_server(dynamic_engine)
+    def test_static_server_runs_no_pipeline(self, run_server, static_engine):
+        server, port = run_server(static_engine)
         with ServeClient("127.0.0.1", port) as client:
-            flush = client.healthz()["flush"]
-        assert flush["pipeline"] is False
+            assert "flush" not in client.healthz()
         assert server.pipeline is None
+
+    def test_update_past_max_pending_throttles(self, run_server, dynamic_engine):
+        server, port = run_server(
+            dynamic_engine, flush_max_staleness=60.0, flush_max_pending=4
+        )
+        assert server.pipeline is not None
+        with ServeClient("127.0.0.1", port) as client:
+            staged = client.update(add=[(0, 100 + i) for i in range(10)])
+            assert staged["added"] == 10
+            assert staged["pending"] <= 4
+            assert client.healthz()["flush"]["epoch"] >= 1
+
+    def test_idle_pipeline_makes_no_timed_wakeups(
+        self, run_server, dynamic_engine, monkeypatch
+    ):
+        reads = []
+        pending = DynamicSimRankEngine.pending_edits
+
+        def counted(engine):
+            reads.append(time.perf_counter())
+            return pending.fget(engine)
+
+        monkeypatch.setattr(DynamicSimRankEngine, "pending_edits", property(counted))
+        run_server(dynamic_engine)  # default staleness: 0.2 s
+        time.sleep(0.1)  # let the flusher settle into its idle wait
+        start = time.perf_counter()
+        time.sleep(0.5)
+        assert len([t for t in reads if t >= start]) <= 1
 
     def test_flush_tunables_route_to_live_pipeline(self, run_server, dynamic_engine):
         server, _ = run_server(
             dynamic_engine,
-            flush_pipeline=True,
             flush_max_staleness=0.5,
             autotune=True,
         )

@@ -89,6 +89,23 @@ class TestPairAndInfo:
             main([])
 
 
+class TestServeFlags:
+    def test_flush_pipeline_flag_is_a_hidden_no_op(self, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        plain = vars(parser.parse_args(["serve", "--graph", "g.txt"]))
+        flagged = vars(
+            parser.parse_args(["serve", "--graph", "g.txt", "--flush-pipeline"])
+        )
+        flagged.pop("flush_pipeline")
+        plain.pop("flush_pipeline")
+        assert flagged == plain
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--help"])
+        assert "--flush-pipeline" not in capsys.readouterr().out
+
+
 class TestRemoteQuery:
     @pytest.fixture
     def live_server(self):
